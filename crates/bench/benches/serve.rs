@@ -3,8 +3,8 @@
 //! hit), plus the cost of rendering the Prometheus exposition.
 //!
 //! The cold/hot ratio is the point of the response cache: a hit is pure
-//! routing + map lookup + body clone, orders of magnitude under the
-//! experiment compute it replaces.
+//! routing + map lookup + a refcount bump on the shared body, orders of
+//! magnitude under the experiment compute it replaces.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lacnet_bench::bench_world;

@@ -21,7 +21,7 @@ use crate::render::{canonical_tsv, result_json};
 use crate::source::DataSource;
 use crate::{datasets, registry};
 use lacnet_types::codec;
-use lacnet_types::http::{self, Limits, Request, Response};
+use lacnet_types::http::{self, Body, Limits, Request, Response};
 use lacnet_types::json::Json;
 use lacnet_types::lru::LruCache;
 use metrics::{Metrics, Outcome};
@@ -39,8 +39,10 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Response-cache capacity (bodies).
     pub cache_capacity: usize,
-    /// Socket read timeout — the slow-loris guard; a stalled client is
-    /// dropped, never waited on forever.
+    /// Socket timeout in both directions. Reading, it is the slow-loris
+    /// guard: a stalled client is dropped, never waited on forever.
+    /// Writing, it drops a client that stops reading its responses, so
+    /// it cannot pin a worker.
     pub read_timeout: Duration,
 }
 
@@ -54,24 +56,18 @@ impl Default for ServeOptions {
     }
 }
 
-/// One cached response body.
-#[derive(Clone)]
-struct CachedBody {
-    status: u16,
-    content_type: &'static str,
-    bytes: Arc<Vec<u8>>,
-}
-
 /// Everything the worker threads share: the resident data source, the
 /// response cache, the metrics registry and the precomputed info bodies.
+/// Cached responses share their [`Body`] bytes with every response that
+/// serves them, so a hit costs a refcount bump.
 pub struct ServerState {
     source: Arc<DataSource<'static>>,
     fingerprint: String,
-    cache: LruCache<(String, String, String), CachedBody>,
+    cache: LruCache<(String, String, String), Response>,
     metrics: Metrics,
-    archive_body: String,
-    endpoints_body: String,
-    scenarios_body: String,
+    archive_body: Body,
+    endpoints_body: Body,
+    scenarios_body: Body,
     /// Lazily generated worlds backing `/scenario/{name}/…` routes for
     /// scenarios other than the resident one, keyed by scenario name.
     /// Each entry carries its own fingerprint, so scenario-scoped
@@ -173,7 +169,9 @@ impl ServerState {
                 Json::Str(registry::NDT_RANGE_ROUTE.into()),
             ),
         ])
-        .to_text();
+        .to_text()
+        .into_bytes()
+        .into();
         let endpoints_body = Json::Arr(
             registry::ENDPOINTS
                 .iter()
@@ -195,7 +193,9 @@ impl ServerState {
                 })
                 .collect(),
         )
-        .to_text();
+        .to_text()
+        .into_bytes()
+        .into();
         let resident = source.scenario().name.clone();
         let mut scenario_rows: Vec<Json> = Vec::new();
         let mut listed_resident = false;
@@ -229,7 +229,7 @@ impl ServerState {
                 ("resident".into(), Json::Bool(true)),
             ]));
         }
-        let scenarios_body = Json::Arr(scenario_rows).to_text();
+        let scenarios_body = Json::Arr(scenario_rows).to_text().into_bytes().into();
         ServerState {
             source,
             fingerprint,
@@ -315,31 +315,19 @@ pub fn respond(state: &ServerState, request: &Request) -> Response {
             state
                 .metrics
                 .record("archive", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(
-                200,
-                "application/json",
-                state.archive_body.clone().into_bytes(),
-            )
+            Response::new(200, "application/json", state.archive_body.clone())
         }
         "/endpoints" => {
             state
                 .metrics
                 .record("endpoints", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(
-                200,
-                "application/json",
-                state.endpoints_body.clone().into_bytes(),
-            )
+            Response::new(200, "application/json", state.endpoints_body.clone())
         }
         "/scenarios" => {
             state
                 .metrics
                 .record("scenarios", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(
-                200,
-                "application/json",
-                state.scenarios_body.clone().into_bytes(),
-            )
+            Response::new(200, "application/json", state.scenarios_body.clone())
         }
         path => {
             if let Some(rest) = path.strip_prefix("/scenario/") {
@@ -438,29 +426,21 @@ fn route_data(
                 canonical.join("&"),
                 fingerprint.to_owned(),
             );
-            let (cached, hit) = state.cache.get_or_compute(key, || {
+            let (response, hit) = state.cache.get_or_compute(key, || {
                 let result = (endpoint.run)(source);
                 let bytes = if tsv {
                     canonical_tsv(&result).into_bytes()
                 } else {
                     result_json(&result).to_text().into_bytes()
                 };
-                CachedBody {
-                    status: 200,
-                    content_type,
-                    bytes: Arc::new(bytes),
-                }
+                Response::new(200, content_type, bytes)
             });
             state.metrics.record(
                 endpoint.id,
                 if hit { Outcome::Hit } else { Outcome::Miss },
                 t0.elapsed().as_secs_f64(),
             );
-            Response::new(
-                cached.status,
-                cached.content_type,
-                cached.bytes.as_ref().clone(),
-            )
+            response
         }
         None => {
             state
@@ -501,6 +481,8 @@ fn read_stats_json(read: &lacnet_mlab::ReadStats) -> Json {
 /// the normalized range, so every spelling of one window shares one LRU
 /// slot; malformed or reversed or out-of-dataset ranges are typed 400s
 /// that never occupy a computed slot; backend I/O errors are not cached.
+/// Both forms are single-flight: concurrent requests for one cold key
+/// compute it once.
 fn ndt_query(
     state: &ServerState,
     source: &Arc<DataSource<'static>>,
@@ -530,25 +512,12 @@ fn ndt_query(
         format!("{cc}/{month}"),
         fingerprint.to_owned(),
     );
-    if let Some(cached) = state.cache.get(&key) {
-        state
-            .metrics
-            .record("ndt", Outcome::Hit, t0.elapsed().as_secs_f64());
-        return Response::new(
-            cached.status,
-            cached.content_type,
-            cached.bytes.as_ref().clone(),
-        );
-    }
-    let response = match source.ndt_month_stats(cc, month) {
-        Err(e) => {
-            state
-                .metrics
-                .record("ndt", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            return json_error(500, &e.to_string());
-        }
-        Ok(None) => json_error(404, "no NDT shard for that country and month"),
-        Ok(Some(stats)) => {
+    let computed = state
+        .cache
+        .try_get_or_compute(key, || -> lacnet_types::Result<_> {
+            let Some(stats) = source.ndt_month_stats(cc, month)? else {
+                return Ok(json_error(404, "no NDT shard for that country and month"));
+            };
             let body = Json::Obj(vec![
                 ("country".into(), Json::Str(cc.to_string())),
                 ("month".into(), Json::Str(month.to_string())),
@@ -561,21 +530,9 @@ fn ndt_query(
                 ("read".into(), read_stats_json(&stats.read)),
             ])
             .to_text();
-            Response::new(200, "application/json", body.into_bytes())
-        }
-    };
-    state.cache.insert(
-        key,
-        CachedBody {
-            status: response.status,
-            content_type: response.content_type,
-            bytes: Arc::new(response.body.clone()),
-        },
-    );
-    state
-        .metrics
-        .record("ndt", Outcome::Miss, t0.elapsed().as_secs_f64());
-    response
+            Ok(Response::new(200, "application/json", body.into_bytes()))
+        });
+    cached_or_500(state, "ndt", computed, t0)
 }
 
 /// Serve `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — the range form of the
@@ -631,27 +588,16 @@ fn ndt_range_query(
         format!("{cc}/{from}/{to}"),
         fingerprint.to_owned(),
     );
-    if let Some(cached) = state.cache.get(&key) {
-        state
-            .metrics
-            .record("ndt-range", Outcome::Hit, t0.elapsed().as_secs_f64());
-        return Response::new(
-            cached.status,
-            cached.content_type,
-            cached.bytes.as_ref().clone(),
-        );
-    }
-    let response = match source.ndt_range_stats(cc, from, to) {
-        Err(e) => {
-            state
-                .metrics
-                .record("ndt-range", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            return json_error(500, &e.to_string());
-        }
-        Ok(stats) if stats.months.is_empty() => {
-            json_error(404, "no NDT shards for that country in that range")
-        }
-        Ok(stats) => {
+    let computed = state
+        .cache
+        .try_get_or_compute(key, || -> lacnet_types::Result<_> {
+            let stats = source.ndt_range_stats(cc, from, to)?;
+            if stats.months.is_empty() {
+                return Ok(json_error(
+                    404,
+                    "no NDT shards for that country in that range",
+                ));
+            }
             let months = stats
                 .months
                 .iter()
@@ -688,33 +634,41 @@ fn ndt_range_query(
                 ("read".into(), read_stats_json(&stats.read)),
             ])
             .to_text();
-            Response::new(200, "application/json", body.into_bytes())
-        }
+            Ok(Response::new(200, "application/json", body.into_bytes()))
+        });
+    cached_or_500(state, "ndt-range", computed, t0)
+}
+
+/// Record the outcome of a fallible single-flight lookup under
+/// `endpoint`: the cached response as a hit or a miss, or the compute's
+/// error as an uncached 500 (backend failures never occupy a slot).
+fn cached_or_500(
+    state: &ServerState,
+    endpoint: &str,
+    computed: Result<(Response, bool), impl std::fmt::Display>,
+    t0: Instant,
+) -> Response {
+    let (outcome, response) = match computed {
+        Ok((response, true)) => (Outcome::Hit, response),
+        Ok((response, false)) => (Outcome::Miss, response),
+        Err(e) => (Outcome::Uncached, json_error(500, &e.to_string())),
     };
-    state.cache.insert(
-        key,
-        CachedBody {
-            status: response.status,
-            content_type: response.content_type,
-            bytes: Arc::new(response.body.clone()),
-        },
-    );
     state
         .metrics
-        .record("ndt-range", Outcome::Miss, t0.elapsed().as_secs_f64());
+        .record(endpoint, outcome, t0.elapsed().as_secs_f64());
     response
 }
 
 /// Serve one accepted connection: keep-alive loop, pipelining via the
-/// buffered reader, typed error responses, read timeout as the hang
-/// guard.
-fn handle_connection(
-    state: &ServerState,
-    stream: TcpStream,
-    limits: &Limits,
-    read_timeout: Duration,
-) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
+/// buffered reader, typed error responses, and one timeout bounding both
+/// directions as the hang guard. Nagle's algorithm is off: a pipelined
+/// response written while the previous one is still unacknowledged
+/// would otherwise wait for the client's delayed ACK.
+fn handle_connection(state: &ServerState, stream: TcpStream, limits: &Limits, timeout: Duration) {
+    if stream.set_read_timeout(Some(timeout)).is_err()
+        || stream.set_write_timeout(Some(timeout)).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else {
@@ -968,7 +922,7 @@ mod tests {
         // A malformed escape is a typed 400, not a mangled cache key.
         let bad = get(&state, "/fig/01?format=%zzv");
         assert_eq!(bad.status, 400);
-        assert!(String::from_utf8(bad.body)
+        assert!(std::str::from_utf8(&bad.body)
             .unwrap()
             .contains("percent-escape"));
     }

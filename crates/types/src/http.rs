@@ -9,7 +9,9 @@
 //! a read timeout on the socket, never a hang.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Hard limits applied while reading one request.
 #[derive(Debug, Clone, Copy)]
@@ -402,6 +404,32 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// A response body: immutable bytes behind an [`Arc`], so every response
+/// serving one cached body shares it — a clone is a refcount bump, never
+/// a copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Body(Arc<[u8]>);
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for Body {
+    fn from(bytes: Vec<u8>) -> Self {
+        Body(bytes.into())
+    }
+}
+
+impl PartialEq<Vec<u8>> for Body {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
 /// One response, written with explicit framing (`Content-Length` always
 /// present, so keep-alive and pipelining are safe).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -413,12 +441,12 @@ pub struct Response {
     /// Extra headers beyond the framing set.
     pub headers: Vec<(String, String)>,
     /// The body bytes.
-    pub body: Vec<u8>,
+    pub body: Body,
 }
 
 impl Response {
     /// A response with the given status, content type and body.
-    pub fn new(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
+    pub fn new(status: u16, content_type: &'static str, body: impl Into<Body>) -> Self {
         Response {
             status,
             content_type,
@@ -429,6 +457,11 @@ impl Response {
 
     /// Serialise status line, headers and body to `w`. `close` adds
     /// `Connection: close`; otherwise the connection is keep-alive.
+    ///
+    /// Head and body go out in one vectored write (looping only on a
+    /// short write), never two: on a socket with Nagle's algorithm on, a
+    /// body written after the head would wait for the peer's delayed ACK
+    /// of the head.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
@@ -447,8 +480,16 @@ impl Response {
             head.push_str("connection: close\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(&self.body)];
+        let mut pending = &mut slices[..];
+        while !pending.is_empty() {
+            match w.write_vectored(pending) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut pending, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 }
@@ -709,23 +750,83 @@ mod tests {
         );
     }
 
+    /// A sink that counts the write calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let mut n = 0;
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+                n += buf.len();
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn response_writes_explicit_framing() {
-        let mut out = Vec::new();
-        Response::new(200, "application/json", b"{}".to_vec())
-            .write_to(&mut out, false)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("content-length: 2\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
-        let mut closed = Vec::new();
-        Response::new(404, "text/plain", b"nope".to_vec())
-            .write_to(&mut closed, true)
-            .unwrap();
-        assert!(String::from_utf8(closed)
-            .unwrap()
-            .contains("connection: close\r\n"));
+    fn a_response_is_one_write_of_the_literal_framing() {
+        let big: Vec<u8> = (0..400 * 1024).map(|i| (i % 251) as u8).collect();
+        let cases = [
+            (Response::new(200, "application/json", b"{}".to_vec()), false, b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\n\r\n".to_vec()),
+            (Response::new(200, "text/plain", big.clone()), false, format!("HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\n\r\n", big.len()).into_bytes()),
+            (Response::new(404, "text/plain", b"nope".to_vec()), true, b"HTTP/1.1 404 Not Found\r\ncontent-type: text/plain\r\ncontent-length: 4\r\nconnection: close\r\n\r\n".to_vec()),
+            (Response::new(200, "text/plain", Vec::new()), false, b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 0\r\n\r\n".to_vec()),
+        ];
+        for (response, close, head) in cases {
+            let mut sink = CountingWriter::default();
+            response.write_to(&mut sink, close).unwrap();
+            assert_eq!(sink.writes, 1, "status {} close {close}", response.status);
+            assert_eq!(sink.bytes, [head, response.body.to_vec()].concat());
+        }
+    }
+
+    /// Accepts at most `chunk` bytes per call, as a full socket buffer does.
+    struct ShortWriter {
+        bytes: Vec<u8>,
+        chunk: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.chunk);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let response = Response::new(200, "text/plain", b"0123456789".repeat(50));
+        let mut whole = Vec::new();
+        response.write_to(&mut whole, true).unwrap();
+        for chunk in [1, 7, 64, 1000] {
+            let mut sink = ShortWriter {
+                bytes: Vec::new(),
+                chunk,
+            };
+            response.write_to(&mut sink, true).unwrap();
+            assert_eq!(sink.bytes, whole, "chunk {chunk}");
+        }
     }
 
     proptest! {

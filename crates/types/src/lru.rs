@@ -11,8 +11,9 @@
 //! When N threads ask for the same absent key at once, exactly one runs
 //! the compute closure (outside the lock); the rest block on a condvar
 //! and are served the finished value as cache hits. If the computing
-//! thread panics, its pending reservation is rolled back and the waiters
-//! retry, so a poisoned computation never wedges the cache.
+//! thread panics, or [`LruCache::try_get_or_compute`]'s closure returns
+//! an `Err`, its pending reservation is rolled back and the waiters
+//! retry, so a failed computation never wedges the cache.
 
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -154,6 +155,20 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
     /// computation of the same key — exactly one closure runs per
     /// residency of a key, no matter how many threads race for it.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
+        match self.try_get_or_compute(key, || Ok::<V, std::convert::Infallible>(compute())) {
+            Ok(found) => found,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`LruCache::get_or_compute`] for a fallible `compute`. An `Err` is
+    /// returned to this caller only and never cached: the reservation is
+    /// rolled back, as after a panic, and threads waiting on it retry.
+    pub fn try_get_or_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
         {
             let mut inner = self.shared.lock().expect("lru lock");
             loop {
@@ -163,7 +178,7 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
                         Slot::Ready(v) => {
                             let v = v.clone();
                             entry.used = tick;
-                            return (v, true);
+                            return Ok((v, true));
                         }
                         Slot::Pending => {
                             inner = self.ready.wait(inner).expect("lru lock");
@@ -184,13 +199,14 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
         }
 
         // Compute outside the lock. The guard rolls the reservation back
-        // if `compute` panics, so waiters retry instead of hanging.
+        // if `compute` fails or panics, so waiters retry instead of
+        // hanging.
         let mut guard = PendingGuard {
             cache: self,
             key: &key,
             armed: true,
         };
-        let value = compute();
+        let value = compute()?;
         guard.armed = false;
         let mut inner = self.shared.lock().expect("lru lock");
         let tick = inner.bump();
@@ -204,7 +220,7 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
         inner.evict_to(self.capacity);
         drop(inner);
         self.ready.notify_all();
-        (value, false)
+        Ok((value, false))
     }
 
     /// Remove every ready entry whose key matches `pred` (pending
@@ -383,6 +399,40 @@ mod tests {
         panicker.join().unwrap();
         // The cache is not wedged: the next caller computes fresh.
         assert_eq!(cache.get_or_compute("k", || 5), (5, false));
+    }
+
+    #[test]
+    fn failing_compute_rolls_back_the_reservation() {
+        let cache = Arc::new(LruCache::new(4));
+        let calls = Arc::new(AtomicUsize::new(0));
+        // A second caller arrives while the failing compute holds the
+        // reservation. It must not hang or be served the error: it
+        // computes the value itself. The sleep lets it block on the
+        // pending slot; one that arrives after the rollback computes
+        // fresh too, so the assertions hold in either order.
+        let mut waiter = None;
+        let failed = cache.try_get_or_compute("k", || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            let (cache, calls) = (Arc::clone(&cache), Arc::clone(&calls));
+            waiter = Some(std::thread::spawn(move || {
+                cache.try_get_or_compute("k", || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, &str>(5)
+                })
+            }));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            Err::<i32, _>("backend down")
+        });
+        let waiter = waiter.expect("compute ran");
+        assert_eq!(failed, Err("backend down"));
+        assert_eq!(waiter.join().unwrap(), Ok((5, false)));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        // The error was never cached; the recomputed value was.
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            cache.try_get_or_compute("k", || Err("unused")),
+            Ok((5, true))
+        );
     }
 
     proptest! {

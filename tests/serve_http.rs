@@ -6,9 +6,11 @@
 //! endpoint's `?format=tsv` body must byte-match its checked-in golden
 //! fixture (so serving is provably the same computation as the batch
 //! report), `/metrics` must show a hit ratio above zero under repeated
-//! traffic, a concurrent hammer on one cold endpoint must compute it
-//! exactly once, and malformed requests must come back as typed 4xx
-//! responses — never a hang, never a dropped worker.
+//! traffic, a concurrent hammer on each kind of cached route must compute
+//! it exactly once, replies must not wait for a TCP delayed ACK, and
+//! malformed requests or clients that never read must come back as
+//! typed 4xx responses or dropped connections — never a hang, never a
+//! pinned worker.
 
 use lacnet::core::serve::{ServeOptions, Server, ServerHandle};
 use lacnet::core::{datasets, registry, DataSource};
@@ -230,18 +232,27 @@ fn metrics_report_a_positive_hit_ratio_under_repeated_traffic() {
     assert!(text.contains("lacnet_request_latency_seconds{endpoint=\"fig01\",quantile=\"0.5\"}"));
 }
 
-#[test]
-fn concurrent_hammer_computes_once_and_serves_identical_bodies() {
-    // A dedicated server instance: its cache and metrics start cold, so
-    // the counters below are exactly this test's traffic.
-    let (addr, handle) = boot(ServeOptions::default());
-    const CLIENTS: usize = 8;
-    let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..CLIENTS)
+/// `clients` concurrent GETs of `target`, each on its own connection,
+/// released together once every connection is open. Returns the bodies.
+fn hammer(addr: SocketAddr, target: &str, clients: usize) -> Vec<Vec<u8>> {
+    let start = std::sync::Barrier::new(clients);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..clients)
             .map(|_| {
+                let start = &start;
                 scope.spawn(move || {
-                    let (status, _, body) = http_get(addr, "/tab01?format=tsv");
-                    assert_eq!(status, 200);
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(60)))
+                        .expect("timeout");
+                    start.wait();
+                    write!(
+                        stream,
+                        "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"
+                    )
+                    .expect("request");
+                    let (status, _, body) = read_response(&mut BufReader::new(stream));
+                    assert_eq!(status, 200, "{target}: {}", String::from_utf8_lossy(&body));
                     body
                 })
             })
@@ -250,31 +261,61 @@ fn concurrent_hammer_computes_once_and_serves_identical_bodies() {
             .into_iter()
             .map(|w| w.join().expect("client"))
             .collect()
+    })
+}
+
+#[test]
+fn concurrent_hammer_computes_once_and_serves_identical_bodies() {
+    // A dedicated server instance: its cache and metrics start cold, so
+    // the counters below are exactly this test's traffic. One worker per
+    // client, so every request can be in flight at once.
+    const CLIENTS: usize = 8;
+    let (addr, handle) = boot(ServeOptions {
+        threads: CLIENTS,
+        ..ServeOptions::default()
     });
-    for body in &bodies[1..] {
-        assert_eq!(body, &bodies[0], "concurrent responses diverged");
+    let source = archive_source();
+    let series: Vec<_> = source
+        .mlab()
+        .median_series(lacnet::types::country::VE)
+        .iter()
+        .collect();
+    let (from, _) = series[0];
+    let (to, _) = *series.last().expect("test world has VE data");
+    // Every cached route: a registry endpoint and both `/ndt` forms.
+    for (endpoint, target) in [
+        ("tab01", "/tab01?format=tsv".to_owned()),
+        ("ndt", format!("/ndt/VE/{to}")),
+        ("ndt-range", format!("/ndt/VE?from={from}&to={to}")),
+    ] {
+        let bodies = hammer(addr, &target, CLIENTS);
+        for body in &bodies[1..] {
+            assert_eq!(body, &bodies[0], "{target}: concurrent responses diverged");
+        }
+        let (_, _, metrics) = http_get(addr, "/metrics");
+        let text = std::str::from_utf8(&metrics).expect("utf8");
+        assert!(
+            text.contains(&format!(
+                "lacnet_requests_total{{endpoint=\"{endpoint}\"}} {CLIENTS}"
+            )),
+            "{text}"
+        );
+        // Single flight: exactly one compute; every other client waited
+        // on the in-flight slot and counts as a hit.
+        assert!(
+            text.contains(&format!(
+                "lacnet_cache_misses_total{{endpoint=\"{endpoint}\"}} 1"
+            )),
+            "{target}: {text}"
+        );
+        assert!(
+            text.contains(&format!(
+                "lacnet_cache_hits_total{{endpoint=\"{endpoint}\"}} {}",
+                CLIENTS - 1
+            )),
+            "{target}: {text}"
+        );
     }
-    let (_, _, metrics) = http_get(addr, "/metrics");
-    let text = std::str::from_utf8(&metrics).expect("utf8");
-    assert!(
-        text.contains(&format!(
-            "lacnet_requests_total{{endpoint=\"tab01\"}} {CLIENTS}"
-        )),
-        "{text}"
-    );
-    // Single flight: exactly one compute; every other client waited on
-    // the in-flight slot and counts as a hit.
-    assert!(
-        text.contains("lacnet_cache_misses_total{endpoint=\"tab01\"} 1"),
-        "{text}"
-    );
-    assert!(
-        text.contains(&format!(
-            "lacnet_cache_hits_total{{endpoint=\"tab01\"}} {}",
-            CLIENTS - 1
-        )),
-        "{text}"
-    );
     handle.shutdown();
 }
 
@@ -599,4 +640,93 @@ fn post_is_rejected_with_405() {
         raw_status(addr, b"POST /healthz HTTP/1.1\r\ncontent-length: 0\r\n\r\n"),
         405
     );
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    // A reply written in two pieces, or a pipelined reply queued behind
+    // an unacknowledged one, waits for the client's delayed ACK: about
+    // 40 ms on Linux. A `/healthz` round trip on loopback is well under
+    // a millisecond, so a median above 20 ms means the stall is back.
+    let addr = shared_server();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let request = b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+
+    let sequential: Vec<Duration> = (0..21)
+        .map(|_| {
+            let sent = std::time::Instant::now();
+            writer.write_all(request).expect("request");
+            assert_eq!(read_response(&mut reader).0, 200);
+            sent.elapsed()
+        })
+        .collect();
+    let pipelined: Vec<Duration> = (0..10)
+        .map(|_| {
+            let sent = std::time::Instant::now();
+            writer.write_all(&request.repeat(2)).expect("requests");
+            assert_eq!(read_response(&mut reader).0, 200);
+            assert_eq!(read_response(&mut reader).0, 200);
+            sent.elapsed()
+        })
+        .collect();
+    let (sequential, pipelined) = (median(sequential), median(pipelined));
+    assert!(
+        sequential < Duration::from_millis(20),
+        "sequential round trip median {sequential:?}"
+    );
+    assert!(
+        pipelined < Duration::from_millis(20),
+        "pipelined pair median {pipelined:?}"
+    );
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_pin_the_only_worker() {
+    // One worker and a short timeout. Client A pipelines far more large
+    // responses than the socket buffers hold and never reads them, so
+    // the worker's write blocks; the write timeout must drop A and free
+    // the worker for client B.
+    let (addr, handle) = boot(ServeOptions {
+        threads: 1,
+        read_timeout: Duration::from_millis(300),
+        ..ServeOptions::default()
+    });
+    // Computed once up front, so the clock below times only the stall.
+    let (status, _, body) = http_get(addr, "/fig/13?format=tsv");
+    assert_eq!(status, 200);
+    assert!(body.len() > 100_000, "fig13 body is {} bytes", body.len());
+    let mut greedy = TcpStream::connect(addr).expect("connect");
+    greedy
+        .write_all(&b"GET /fig/13?format=tsv HTTP/1.1\r\nhost: t\r\n\r\n".repeat(64))
+        .expect("pipelined requests");
+
+    let started = std::time::Instant::now();
+    let mut polite = TcpStream::connect(addr).expect("connect");
+    polite
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    polite
+        .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+        .expect("request");
+    let (status, _, _) = read_response(&mut BufReader::new(polite));
+    assert_eq!(status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a reader-less client held the worker for {:?}",
+        started.elapsed()
+    );
+    drop(greedy);
+    handle.shutdown();
 }
