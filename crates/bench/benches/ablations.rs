@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lacnet_atlas::{AnycastFleet, AnycastSite, SiteScope};
 use lacnet_bench::bench_world;
 use lacnet_bgp::propagation::RouteSim;
+use lacnet_crisis::topology::TopologyBuilder;
 use lacnet_types::rng::Rng;
 use lacnet_types::stats::{self, P2Quantile};
 use lacnet_types::{geo, Asn, GeoPoint, MonthStamp};
@@ -76,7 +77,8 @@ fn ablation_median(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 3 — visibility: valley-free propagation vs a naive
+/// Ablation 3 — visibility: valley-free propagation per origin vs the
+/// one reverse pass pfx2as uses for every origin at once, and vs a naive
 /// reachability flood that ignores export policy (the naive model
 /// overstates visibility and is barely cheaper).
 fn ablation_visibility(c: &mut Criterion) {
@@ -93,6 +95,24 @@ fn ablation_visibility(c: &mut Criterion) {
         .filter(|a| graph.contains(*a))
         .collect();
 
+    let collectors = TopologyBuilder::collectors();
+
+    // Both valley-free forms must agree on which origins the collectors
+    // hear before either is timed.
+    let sim = RouteSim::new(graph);
+    let per_origin: Vec<Asn> = origins
+        .iter()
+        .copied()
+        .filter(|&o| sim.propagate(o).visibility(&collectors) > 0.0)
+        .collect();
+    let reaching = sim.origins_reaching(&collectors);
+    let one_pass: Vec<Asn> = origins
+        .iter()
+        .copied()
+        .filter(|o| reaching.contains(o))
+        .collect();
+    assert_eq!(per_origin, one_pass, "reverse pass changed the visible set");
+
     let mut group = c.benchmark_group("ablation_visibility");
     group.bench_function("valley_free", |b| {
         b.iter(|| {
@@ -101,6 +121,9 @@ fn ablation_visibility(c: &mut Criterion) {
                 black_box(sim.propagate(o).reach_count());
             }
         })
+    });
+    group.bench_function("reverse_reach", |b| {
+        b.iter(|| black_box(RouteSim::new(graph).origins_reaching(&collectors).len()))
     });
     group.bench_function("naive_flood", |b| {
         b.iter(|| {

@@ -13,12 +13,14 @@
 //! We compute the all-AS outcome for one origin with the classic
 //! three-phase BFS (up the customer→provider edges, one hop across peer
 //! edges, down the provider→customer edges), which is `O(V + E)` per
-//! origin.
+//! origin. When only *which* origins reach a collector set matters,
+//! [`RouteSim::origins_reaching`] runs the three phases in reverse once
+//! for all origins, also in `O(V + E)`.
 
 use crate::graph::AsGraph;
 use lacnet_types::Asn;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How an AS learned its best route to the origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -178,6 +180,51 @@ impl<'g> RouteSim<'g> {
 
         PropagationOutcome { origin, routes }
     }
+
+    /// Every origin whose announcement reaches at least one of
+    /// `collectors`: exactly `{o : propagate(o).visibility(collectors) > 0}`,
+    /// in one pass instead of one propagation per origin.
+    ///
+    /// [`Self::propagate`] reaches `c` when some AS on the origin's
+    /// provider chain (phase 1) is, or peers with (phase 2), an AS that
+    /// `c` sits below in the customer hierarchy (phase 3). Reversed: with
+    /// `anc(C)` the collectors plus everything above them along provider
+    /// edges, the origins are the customer cone of
+    /// `anc(C) ∪ peers(anc(C))`. A collector always reaches itself, even
+    /// when it is missing from the graph.
+    pub fn origins_reaching(&self, collectors: &[Asn]) -> BTreeSet<Asn> {
+        // Reverse phase 3: the collectors and everything above them along
+        // provider edges; a route any of these holds flows down to one.
+        let mut ancestors: BTreeSet<Asn> = BTreeSet::new();
+        let mut stack: Vec<Asn> = collectors.to_vec();
+        while let Some(u) = stack.pop() {
+            if ancestors.insert(u) {
+                if let Some(adj) = self.graph.adjacency(u) {
+                    stack.extend(&adj.providers);
+                }
+            }
+        }
+
+        // Reverse phase 2: one peer hop off that set.
+        for &a in &ancestors {
+            stack.push(a);
+            if let Some(adj) = self.graph.adjacency(a) {
+                stack.extend(&adj.peers);
+            }
+        }
+
+        // Reverse phase 1: every AS below one of those along customer
+        // edges, whose announcement climbs provider edges up to it.
+        let mut origins: BTreeSet<Asn> = BTreeSet::new();
+        while let Some(u) = stack.pop() {
+            if origins.insert(u) {
+                if let Some(adj) = self.graph.adjacency(u) {
+                    stack.extend(&adj.customers);
+                }
+            }
+        }
+        origins
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +320,33 @@ mod tests {
         assert_eq!(out.visibility(&[]), 0.0);
         let out = RouteSim::new(&g).propagate(Asn(999));
         assert_eq!(out.visibility(&[Asn(10), Asn(20)]), 0.0);
+    }
+
+    #[test]
+    fn origins_reaching_follows_the_export_rules() {
+        let g = two_tier();
+        let sim = RouteSim::new(&g);
+        // Everyone in the two-tier world reaches a tier-1 collector.
+        let all: BTreeSet<Asn> = g.asns().collect();
+        assert_eq!(sim.origins_reaching(&[Asn(10)]), all);
+        // A stub collector hears its own cone, its provider chain's
+        // customer cones and whatever crosses the tier-1 peering.
+        assert_eq!(sim.origins_reaching(&[Asn(221)]), all);
+        // Peer-of-peer does not reach: 3 hears 2 (its peer) and itself.
+        let chain = AsGraph::from_edges([
+            RelEdge::peering(Asn(1), Asn(2)),
+            RelEdge::peering(Asn(2), Asn(3)),
+        ]);
+        assert_eq!(
+            RouteSim::new(&chain).origins_reaching(&[Asn(3)]),
+            BTreeSet::from([Asn(2), Asn(3)])
+        );
+        // No collectors, no origins; an unknown collector hears itself.
+        assert!(sim.origins_reaching(&[]).is_empty());
+        assert_eq!(
+            sim.origins_reaching(&[Asn(999)]),
+            BTreeSet::from([Asn(999)])
+        );
     }
 
     #[test]

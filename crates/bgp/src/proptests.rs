@@ -13,6 +13,7 @@ use crate::propagation::{RouteKind, RouteSim};
 use crate::relationship::RelEdge;
 use lacnet_types::{Asn, MonthStamp};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random 3-layer hierarchy. Tier-1s form a full peering
 /// mesh; every lower node buys transit from 1–2 random nodes one layer
@@ -64,6 +65,42 @@ fn tangled_strategy() -> impl Strategy<Value = AsGraph> {
         }
         AsGraph::from_edges(edges)
     })
+}
+
+/// Strategy: an arbitrary mixed-relationship graph and a collector set.
+/// Random p2c and p2p edges over a small ASN pool give peer chains,
+/// provider cycles, isolated pieces and pool ASes missing from the graph;
+/// collectors are drawn from the pool plus three ASNs that never appear,
+/// so some have providers, some are unknown, and the set may be empty.
+/// Unlike [`hierarchy_strategy`], most origins reach only some ASes.
+fn mixed_strategy() -> impl Strategy<Value = (AsGraph, Vec<Asn>)> {
+    (2u32..16, 0usize..30, 0usize..20, 0usize..4, any::<u64>()).prop_map(
+        |(n, transit, peering, k, seed)| {
+            let mut rng = lacnet_types::rng::Rng::seeded(seed);
+            let mut pair = || {
+                let a = Asn(1 + rng.below(n as u64) as u32);
+                let b = Asn(1 + rng.below(n as u64) as u32);
+                (a, b)
+            };
+            let mut edges = Vec::new();
+            for _ in 0..transit {
+                let (a, b) = pair();
+                if a != b {
+                    edges.push(RelEdge::transit(a, b));
+                }
+            }
+            for _ in 0..peering {
+                let (a, b) = pair();
+                if a != b {
+                    edges.push(RelEdge::peering(a, b));
+                }
+            }
+            let collectors = (0..k)
+                .map(|_| Asn(1 + rng.below(n as u64 + 3) as u32))
+                .collect();
+            (AsGraph::from_edges(edges), collectors)
+        },
+    )
 }
 
 /// Walk a path origin-outward and assert the valley-free pattern.
@@ -181,6 +218,22 @@ proptest! {
     }
 
     #[test]
+    fn origins_reaching_equals_per_origin_visibility((g, collectors) in mixed_strategy()) {
+        // The one reverse pass must pick exactly the origins a forward
+        // propagation each would find visible, over every AS of the graph,
+        // every collector and one AS nobody knows.
+        let sim = RouteSim::new(&g);
+        let mut universe: BTreeSet<Asn> = g.asns().collect();
+        universe.extend(&collectors);
+        universe.insert(Asn(999_999));
+        let expected: BTreeSet<Asn> = universe
+            .into_iter()
+            .filter(|&o| sim.propagate(o).visibility(&collectors) > 0.0)
+            .collect();
+        prop_assert_eq!(sim.origins_reaching(&collectors), expected, "collectors {:?}", collectors);
+    }
+
+    #[test]
     fn serial1_roundtrip_preserves_any_graph(g in hierarchy_strategy()) {
         let text = crate::serial1::to_text(&g.edges(), "proptest");
         let back = AsGraph::from_edges(crate::serial1::parse(&text).unwrap());
@@ -227,6 +280,6 @@ proptest! {
             (*cache.cone(month, &g, unknown)).clone(),
             fresh.clone()
         );
-        prop_assert_eq!(fresh, std::collections::BTreeSet::from([unknown]));
+        prop_assert_eq!(fresh, BTreeSet::from([unknown]));
     }
 }

@@ -27,31 +27,39 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     let mut panels = Vec::new();
     let mut findings = Vec::new();
 
+    let countries = fig7_countries();
     for name in FIG7_PROVIDERS {
         let hg = by_name(name).expect("catalogued hypergiant");
-        let mut lines = Vec::new();
-        for cc in fig7_countries() {
-            let series = detect::coverage_series(
-                src.cert_scans(),
-                hg,
-                cc,
-                src.operators().populations(),
-                src.operators().as2org(),
-            );
-            lines.push(Line::new(cc.as_str(), series));
-        }
+        let series = detect::coverage_by_country(
+            src.cert_scans(),
+            hg,
+            &countries,
+            src.operators().populations(),
+            src.operators().as2org(),
+        );
+        let lines = countries
+            .iter()
+            .zip(series)
+            .map(|(cc, series)| Line::new(cc.as_str(), series))
+            .collect();
         panels.push(Panel::new(name, lines));
     }
 
-    // VE mean coverage per provider (§5.5's ranking metric).
-    for (name, paper_mean, tol) in [
+    // VE mean coverage per provider (§5.5's ranking metric), read off
+    // each panel's VE line.
+    for (panel, (name, paper_mean, tol)) in panels.iter().zip([
         ("Google", 56.88, 0.15),
         ("Akamai", 35.74, 0.15),
         ("Facebook", 28.33, 0.25),
         ("Netflix", 5.87, 0.4),
-    ] {
-        let measured =
-            lacnet_crisis::cdn::ve_mean_coverage(src.operators(), src.cert_scans(), name);
+    ]) {
+        assert_eq!(panel.title, name, "panels follow FIG7_PROVIDERS");
+        let ve = panel
+            .lines
+            .iter()
+            .find(|l| l.label == country::VE.as_str())
+            .expect("every panel plots VE");
+        let measured = ve.series.mean().unwrap_or(0.0);
         findings.push(Finding::numeric(
             format!("VE mean coverage, {name} (%)"),
             paper_mean,

@@ -12,18 +12,23 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     let countries: Vec<_> = country::lacnic_codes().collect();
     let mut panels = Vec::new();
     let mut findings = Vec::new();
+    let mut ve_max = Vec::new();
 
     for hg in HYPERGIANTS {
+        let series = detect::coverage_by_country(
+            src.cert_scans(),
+            hg,
+            &countries,
+            src.operators().populations(),
+            src.operators().as2org(),
+        );
         let mut lines = Vec::new();
-        for &cc in &countries {
-            let series = detect::coverage_series(
-                src.cert_scans(),
-                hg,
-                cc,
-                src.operators().populations(),
-                src.operators().as2org(),
-            );
-            if series.max_value().unwrap_or(0.0) > 0.0 {
+        for (&cc, series) in countries.iter().zip(series) {
+            let max = series.max_value().unwrap_or(0.0);
+            if cc == country::VE {
+                ve_max.push(max);
+            }
+            if max > 0.0 {
                 lines.push(Line::new(cc.as_str(), series));
             }
         }
@@ -31,19 +36,12 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     }
 
     // The minor six must have zero Venezuelan presence throughout.
-    for hg in HYPERGIANTS.iter().skip(4) {
-        let ve = detect::coverage_series(
-            src.cert_scans(),
-            hg,
-            country::VE,
-            src.operators().populations(),
-            src.operators().as2org(),
-        );
+    for (hg, &max) in HYPERGIANTS.iter().zip(&ve_max).skip(4) {
         findings.push(Finding::claim(
             format!("{} has no Venezuelan off-nets", hg.name),
             "0%",
-            format!("max {:.2}%", ve.max_value().unwrap_or(0.0)),
-            ve.max_value().unwrap_or(0.0) == 0.0,
+            format!("max {max:.2}%"),
+            max == 0.0,
         ));
     }
     // And only minimal regional presence (a handful of countries).

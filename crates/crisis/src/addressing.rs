@@ -263,15 +263,10 @@ impl Addressing {
     /// The pfx2as snapshot for `month`: announced prefixes whose origin
     /// reaches at least one tier-1 collector over `graph`.
     pub fn pfx2as_at(&self, month: MonthStamp, graph: &AsGraph) -> PfxToAs {
-        let collectors = TopologyBuilder::collectors();
-        let sim = RouteSim::new(graph);
-        let mut visible: BTreeMap<Asn, bool> = BTreeMap::new();
+        let visible = RouteSim::new(graph).origins_reaching(&TopologyBuilder::collectors());
         let mut table = PfxToAs::new();
         for (prefix, origin) in self.announced_prefixes(month) {
-            let seen = *visible.entry(origin).or_insert_with(|| {
-                graph.contains(origin) && sim.propagate(origin).visibility(&collectors) > 0.0
-            });
-            if seen {
+            if graph.contains(origin) && visible.contains(&origin) {
                 table.insert(prefix, OriginSet::single(origin));
             }
         }
@@ -396,6 +391,42 @@ mod tests {
         // Text roundtrip.
         let back = PfxToAs::parse(&table.to_text()).unwrap();
         assert_eq!(back.len(), table.len());
+    }
+
+    /// The per-origin definition [`Addressing::pfx2as_at`] must match:
+    /// one full propagation per distinct origin, kept when any tier-1
+    /// collector hears it.
+    fn pfx2as_per_origin(addr: &Addressing, month: MonthStamp, graph: &AsGraph) -> PfxToAs {
+        let collectors = TopologyBuilder::collectors();
+        let sim = RouteSim::new(graph);
+        let mut visible: BTreeMap<Asn, bool> = BTreeMap::new();
+        let mut table = PfxToAs::new();
+        for (prefix, origin) in addr.announced_prefixes(month) {
+            let seen = *visible.entry(origin).or_insert_with(|| {
+                graph.contains(origin) && sim.propagate(origin).visibility(&collectors) > 0.0
+            });
+            if seen {
+                table.insert(prefix, OriginSet::single(origin));
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn reverse_pass_matches_per_origin_propagation_every_month() {
+        let cfg = crate::config::WorldConfig::test();
+        let ops = Operators::generate(cfg.seed);
+        let eco = Economy::generate(cfg.economy_start, cfg.end);
+        let addr = Addressing::generate(&ops, &eco);
+        let builder = TopologyBuilder::new(&ops, &eco);
+        for m in crate::config::windows::pfx2as_start().through(cfg.end) {
+            let graph = builder.snapshot(m);
+            assert_eq!(
+                addr.pfx2as_at(m, &graph).to_text(),
+                pfx2as_per_origin(&addr, m, &graph).to_text(),
+                "{m}"
+            );
+        }
     }
 
     #[test]

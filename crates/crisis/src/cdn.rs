@@ -15,7 +15,7 @@
 
 use crate::operators::{Operator, OperatorKind, Operators};
 use lacnet_offnets::certs::{CertScan, ScanRecord, TlsCert};
-use lacnet_offnets::hypergiants::{by_name, Hypergiant};
+use lacnet_offnets::hypergiants::Hypergiant;
 use lacnet_types::{country, MonthStamp};
 
 /// First (January) scan year in the Gigis et al. artifacts.
@@ -145,24 +145,11 @@ pub fn build_cert_scans(ops: &Operators) -> Vec<CertScan> {
         .collect()
 }
 
-/// Convenience: Venezuela's mean coverage for one hypergiant across all
-/// scans (the §5.5 ranking metric).
-pub fn ve_mean_coverage(ops: &Operators, scans: &[CertScan], hg_name: &str) -> f64 {
-    let hg = by_name(hg_name).expect("known hypergiant");
-    let series = lacnet_offnets::detect::coverage_series(
-        scans,
-        hg,
-        country::VE,
-        ops.populations(),
-        ops.as2org(),
-    );
-    series.mean().unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lacnet_offnets::detect::{self, detect_offnets};
+    use lacnet_offnets::hypergiants::by_name;
     use lacnet_types::Asn;
 
     fn world() -> (Operators, Vec<CertScan>) {
@@ -183,14 +170,21 @@ mod tests {
     #[test]
     fn fig7_ve_mean_coverages() {
         let (ops, scans) = world();
+        // Venezuela's mean coverage across all scans (the §5.5 metric).
+        let ve_mean_coverage = |name| {
+            let hg = by_name(name).unwrap();
+            detect::coverage_series(&scans, hg, country::VE, ops.populations(), ops.as2org())
+                .mean()
+                .unwrap_or(0.0)
+        };
         // Paper: Google 56.88%, Akamai 35.74%, Facebook 28.33%, Netflix 5.87%.
-        let google = ve_mean_coverage(&ops, &scans, "Google");
+        let google = ve_mean_coverage("Google");
         assert!((48.0..=65.0).contains(&google), "Google {google}");
-        let akamai = ve_mean_coverage(&ops, &scans, "Akamai");
+        let akamai = ve_mean_coverage("Akamai");
         assert!((30.0..=42.0).contains(&akamai), "Akamai {akamai}");
-        let facebook = ve_mean_coverage(&ops, &scans, "Facebook");
+        let facebook = ve_mean_coverage("Facebook");
         assert!((20.0..=36.0).contains(&facebook), "Facebook {facebook}");
-        let netflix = ve_mean_coverage(&ops, &scans, "Netflix");
+        let netflix = ve_mean_coverage("Netflix");
         assert!((3.0..=10.0).contains(&netflix), "Netflix {netflix}");
     }
 

@@ -51,6 +51,28 @@ pub fn population_coverage(
     populations.org_share_of(country, &orgs, as2org) * 100.0
 }
 
+/// Coverage time series of one hypergiant for each of `countries`, in
+/// the same order. Detection runs once per scan; every country reads the
+/// same host set.
+pub fn coverage_by_country(
+    scans: &[CertScan],
+    hg: &Hypergiant,
+    countries: &[CountryCode],
+    populations: &PopulationEstimates,
+    as2org: &AsOrgMap,
+) -> Vec<TimeSeries> {
+    let hosts: Vec<OffnetHosts> = scans.iter().map(|scan| detect_offnets(scan, hg)).collect();
+    countries
+        .iter()
+        .map(|&cc| {
+            hosts
+                .iter()
+                .map(|h| (h.month, population_coverage(h, cc, populations, as2org)))
+                .collect()
+        })
+        .collect()
+}
+
 /// Coverage time series for one hypergiant and country across scans.
 pub fn coverage_series(
     scans: &[CertScan],
@@ -59,16 +81,9 @@ pub fn coverage_series(
     populations: &PopulationEstimates,
     as2org: &AsOrgMap,
 ) -> TimeSeries {
-    scans
-        .iter()
-        .map(|scan| {
-            let hosts = detect_offnets(scan, hg);
-            (
-                scan.month,
-                population_coverage(&hosts, country, populations, as2org),
-            )
-        })
-        .collect()
+    coverage_by_country(scans, hg, &[country], populations, as2org)
+        .pop()
+        .expect("one series per country")
 }
 
 /// Mean coverage per country over a scan set, used for the paper's
@@ -80,12 +95,11 @@ pub fn mean_coverage_ranking(
     populations: &PopulationEstimates,
     as2org: &AsOrgMap,
 ) -> Vec<(CountryCode, f64)> {
+    let series = coverage_by_country(scans, hg, countries, populations, as2org);
     let mut means: Vec<(CountryCode, f64)> = countries
         .iter()
-        .map(|&cc| {
-            let s = coverage_series(scans, hg, cc, populations, as2org);
-            (cc, s.mean().unwrap_or(0.0))
-        })
+        .zip(&series)
+        .map(|(&cc, s)| (cc, s.mean().unwrap_or(0.0)))
         .collect();
     means.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -210,6 +224,63 @@ mod tests {
         assert_eq!(ranking[0].0, country::VE);
         assert_eq!(rank_of(&ranking, country::BR), Some(2));
         assert_eq!(rank_of(&ranking, country::CL), None);
+    }
+
+    #[test]
+    fn one_detection_per_scan_matches_per_country_detection() {
+        let mut scan_2020 = scan_2019();
+        scan_2020.month = MonthStamp::new(2020, 1);
+        scan_2020.push(ScanRecord {
+            asn: Asn(26599),
+            country: country::BR,
+            cert: cert("cache.google.com"),
+        });
+        let scans = vec![scan_2019(), scan_2020];
+        let p = pops();
+        let mut map = AsOrgMap::new();
+        map.add_org(1, "Estado");
+        map.assign(Asn(8048), 1);
+        map.assign(Asn(6306), 1);
+        let countries = [country::VE, country::BR, country::CL];
+        for hg in crate::HYPERGIANTS {
+            // The composition every country used to run on its own.
+            let reference: Vec<TimeSeries> = countries
+                .iter()
+                .map(|&cc| {
+                    scans
+                        .iter()
+                        .map(|scan| {
+                            let hosts = detect_offnets(scan, hg);
+                            (scan.month, population_coverage(&hosts, cc, &p, &map))
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                coverage_by_country(&scans, hg, &countries, &p, &map),
+                reference,
+                "{}",
+                hg.name
+            );
+            for (&cc, series) in countries.iter().zip(&reference) {
+                assert_eq!(&coverage_series(&scans, hg, cc, &p, &map), series);
+            }
+            // The ranking orders countries by mean coverage, ties by code.
+            let mut expected: Vec<(CountryCode, f64)> = countries
+                .iter()
+                .zip(&reference)
+                .map(|(&cc, s)| (cc, s.mean().unwrap_or(0.0)))
+                .collect();
+            expected.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            assert_eq!(
+                mean_coverage_ranking(&scans, hg, &countries, &p, &map),
+                expected
+            );
+        }
+        let google = by_name("Google").unwrap();
+        let ranking = mean_coverage_ranking(&scans, google, &countries, &p, &map);
+        let order: Vec<CountryCode> = ranking.iter().map(|&(cc, _)| cc).collect();
+        assert_eq!(order, vec![country::VE, country::BR, country::CL]);
     }
 
     #[test]
