@@ -9,12 +9,20 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lacnet_bench::bench_world;
-use lacnet_core::{datasets, ArchiveWorld, DumpOptions};
+use lacnet_core::{datasets, ArchiveWorld, DataSource, DumpOptions};
 use lacnet_crisis::World;
 use lacnet_mlab::ShardFormat;
 use lacnet_types::{country, MonthStamp};
 use std::hint::black_box;
 use std::path::PathBuf;
+
+/// Decode every block and column of one columnar shard.
+fn decode_full(bytes: &[u8]) -> lacnet_mlab::ColumnBatch {
+    lacnet_mlab::ColumnReader::open(bytes)
+        .and_then(|r| r.read_counted(&lacnet_mlab::ColumnSelection::all()))
+        .expect("columnar shard decodes")
+        .0
+}
 
 /// Dump the shared bench world once; every sample reloads the same tree.
 fn dump_dir() -> PathBuf {
@@ -121,8 +129,7 @@ fn bench_cold_load(c: &mut Criterion) {
             &plan,
             |&shard| {
                 let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-                let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar shard");
-                lacnet_mlab::columnar::decode(&bytes).expect("columnar shard decodes")
+                decode_full(&std::fs::read(ndtc_dir.join(rel)).expect("columnar shard"))
             },
         );
         let mut agg =
@@ -166,14 +173,14 @@ fn bench_cold_load(c: &mut Criterion) {
 /// P² median — before any timing starts.
 fn bench_cold_query(c: &mut Criterion) {
     let ndtc_dir = columnar_dump_dir();
-    let ndtc =
-        ArchiveWorld::load_with(&ndtc_dir, Some(ShardFormat::Columnar)).expect("columnar loads");
+    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
+        .expect("columnar loads");
     let (month, _) = ndtc
-        .mlab
+        .mlab()
         .median_series(country::VE)
         .last()
         .expect("bench world has VE data");
-    let resident = ndtc.mlab.group(country::VE, month).expect("group exists");
+    let resident = ndtc.mlab().group(country::VE, month).expect("group exists");
     let expected = (resident.count(), resident.median());
     let selective = || {
         ndtc.ndt_month_stats(country::VE, month)
@@ -190,8 +197,7 @@ fn bench_cold_query(c: &mut Criterion) {
         for &shard in &plan {
             let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
             let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar shard");
-            let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar shard decodes");
-            agg.observe_columns(&batch);
+            agg.observe_columns(&decode_full(&bytes));
         }
         let g = agg.group(country::VE, month).expect("group exists").clone();
         (g.count(), g.median())
@@ -253,7 +259,7 @@ fn bench_range_query(c: &mut Criterion) {
             loss_rate: (i % 50) as f64 / 100.0,
         })
         .collect();
-    let big = lacnet_mlab::columnar::encode_v2(&lacnet_mlab::ColumnBatch::from_rows(&big_rows));
+    let big = lacnet_mlab::columnar::encode_rows_v2(&big_rows);
     let big_selection = lacnet_mlab::ColumnSelection::all().with_country(country::VE);
     let borrowed = || {
         let reader = lacnet_mlab::ColumnReader::open(&big).expect("container opens");
@@ -289,8 +295,7 @@ fn bench_range_query(c: &mut Criterion) {
         for &shard in &plan {
             let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
             let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar shard");
-            let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar shard decodes");
-            agg.observe_columns(&batch);
+            agg.observe_columns(&decode_full(&bytes));
         }
         let mut rows_total = 0usize;
         let mut median_sum = 0.0f64;

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE]
-//!            [--shard-format text|columnar] [--ndtc-v1] [--force] [--verify]
+//!            [--shard-format text|columnar] [--force] [--verify]
 //! lacnet-gen --list-scenarios
 //! ```
 //!
@@ -14,10 +14,6 @@
 //! fingerprint into every `mlab/manifest.tsv` shard record and write a
 //! `world/scenario.toml` sidecar the loader reapplies.
 //!
-//! `--ndtc-v1` writes columnar shards in the frozen v1 single-block
-//! container instead of the footer-indexed v2 layout — for producing
-//! legacy trees that exercise the version-dispatch read path.
-//!
 //! `--test-world` dumps the reduced fixed-seed world the test suites
 //! run on — a mini archive that generates and parses in seconds (the CI
 //! serve job's fixture). Flags compose left to right, so a `--seed`
@@ -26,10 +22,11 @@
 //! Re-running over an existing tree refreshes incrementally: NDT shards
 //! whose inputs (seed, per-country volume scale, scenario, format) are
 //! unchanged per `mlab/manifest.tsv` are left untouched unless `--force`
-//! is given. `mlab/index.tsv` records each shard's row/block census plus
-//! its min/max day span, which the serve layer's range queries use to
-//! prune shards without opening them; re-running upgrades older
-//! four-column index records to the day-span form in place.
+//! is given. `mlab/index.tsv` records each shard's path, row/block census
+//! and min/max day span; the loader requires it, and the serve layer's
+//! NDT queries use it to find shards and prune them without opening
+//! them. Re-running over a tree whose index is missing or unreadable
+//! rebuilds it from the shard files.
 
 use lacnet_core::datasets::{self, DumpOptions};
 use lacnet_crisis::{Scenario, World, WorldConfig};
@@ -84,12 +81,11 @@ fn main() {
                     .unwrap_or_else(|| die("--shard-format needs `text` or `columnar`"));
             }
             "--test-world" => config = WorldConfig::test(),
-            "--ndtc-v1" => options.columnar_v1 = true,
             "--force" => options.force = true,
             "--verify" => verify = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE] [--shard-format text|columnar] [--ndtc-v1] [--force] [--verify]\n       lacnet-gen --list-scenarios"
+                    "usage: lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE] [--shard-format text|columnar] [--force] [--verify]\n       lacnet-gen --list-scenarios"
                 );
                 return;
             }

@@ -26,7 +26,8 @@
 //!                                        refresh skips unchanged shards
 //!   mlab/index.tsv                       archive-level shard index:
 //!                                        (country, month) → shard path,
-//!                                        row count, block count
+//!                                        row count, block count, day
+//!                                        span — required to load
 //!   atlas/reachability-VE-2019.tsv …     daily connected probes, per country
 //!   MANIFEST.txt
 //! ```
@@ -40,9 +41,9 @@
 
 use lacnet_crisis::config::windows;
 use lacnet_crisis::{bandwidth, blackouts, World, WorldConfig};
-use lacnet_mlab::columnar::{self, ShardFormat};
+use lacnet_mlab::columnar::{self, ColumnReader, ColumnSelection, ShardFormat};
 use lacnet_types::rng::Rng;
-use lacnet_types::{codec, country, sweep, Date, MonthStamp, Result};
+use lacnet_types::{codec, country, sweep, CountryCode, Date, Error, MonthStamp, Result};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -72,24 +73,6 @@ pub struct DumpOptions {
     /// Rewrite every shard even when the manifest says its inputs are
     /// unchanged.
     pub force: bool,
-    /// Write columnar shards in the legacy v1 container instead of the
-    /// indexed v2 one (`lacnet-gen --ndtc-v1`). Exists so compatibility
-    /// trees for the version matrix can be produced on purpose; ignored
-    /// for text dumps.
-    pub columnar_v1: bool,
-}
-
-impl DumpOptions {
-    /// The codec tag folded into shard fingerprints: distinguishes the
-    /// two columnar container versions, so flipping `--ndtc-v1` rewrites
-    /// shards like any other generator-input change.
-    fn codec_tag(self) -> &'static str {
-        match (self.shard_format, self.columnar_v1) {
-            (ShardFormat::Text, _) => "text",
-            (ShardFormat::Columnar, false) => "columnar",
-            (ShardFormat::Columnar, true) => "columnar-v1",
-        }
-    }
 }
 
 fn write_bytes(
@@ -128,10 +111,10 @@ pub fn mlab_shard_path_with(shard: bandwidth::NdtShard, format: ShardFormat) -> 
 pub const MLAB_MANIFEST: &str = "mlab/manifest.tsv";
 
 /// The archive-relative path of the archive-level NDT shard index:
-/// one record per `(country, month)` shard with its path, row count and
-/// decodable-block count, derived from the manifest at dump time. The
-/// serve layer resolves single-shard queries through it without probing
-/// the filesystem or decoding anything.
+/// one record per `(country, month)` shard with its path, row count,
+/// decodable-block count and day span, written at dump time. It is the
+/// one NDT shard resolver: the loader and every NDT query find shard
+/// files through it without probing the filesystem or decoding anything.
 pub const MLAB_INDEX: &str = "mlab/index.tsv";
 
 /// One `mlab/index.tsv` record.
@@ -141,66 +124,69 @@ pub struct ShardIndexRecord {
     pub path: String,
     /// Rows in the shard.
     pub rows: u64,
-    /// Independently decodable blocks (1 for text and v1 containers).
+    /// Independently decodable blocks (1 for text shards).
     pub blocks: u64,
     /// Min/max test day (days since epoch) across the shard's rows —
-    /// the range-query pruning summary. `None` for empty shards, for v1
-    /// columnar containers (no footer index to consult cheaply) and for
-    /// records read back from a pre-PR-10 four-column index; a `None`
-    /// shard is never pruned, only ever decoded.
+    /// the range-query pruning summary. `None` exactly for empty shards.
     pub days: Option<(i64, i64)>,
 }
 
-/// Parse the shard index of a dumped tree, keyed by `CC/YYYY-MM` label.
-/// A missing or malformed index yields an empty map — it is an
-/// accelerator derived from the tree, never a source of truth, so
-/// consumers must fall back to probing shard files. Four-column records
-/// from older dumps parse fine with an unknown day span.
-pub fn read_shard_index(root: &Path) -> BTreeMap<String, ShardIndexRecord> {
+/// Parse the shard index of a dumped tree, keyed by `(country, month)`.
+/// The index is required: a missing file is a typed error naming it,
+/// and so is any record that is short, long or malformed — a bad label,
+/// an unparsable count, or a day span that is absent on a non-empty
+/// shard, present on an empty one, or reversed. Those errors name the
+/// file and the 1-based line.
+pub fn read_shard_index(root: &Path) -> Result<BTreeMap<bandwidth::NdtShard, ShardIndexRecord>> {
+    let text = fs::read_to_string(root.join(MLAB_INDEX))
+        .map_err(|_| Error::missing("archive file", format!("{}/{MLAB_INDEX}", root.display())))?;
     let mut map = BTreeMap::new();
-    let Ok(text) = fs::read_to_string(root.join(MLAB_INDEX)) else {
-        return map;
-    };
-    for line in text.lines() {
+    for (i, line) in text.lines().enumerate() {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut cols = line.split('\t');
-        let (Some(label), Some(path), Some(rows), Some(blocks)) =
-            (cols.next(), cols.next(), cols.next(), cols.next())
-        else {
-            continue;
-        };
-        let (Ok(rows), Ok(blocks)) = (rows.parse(), blocks.parse()) else {
-            continue;
-        };
-        let days = match (cols.next(), cols.next()) {
-            (Some(min), Some(max)) => match (min.parse(), max.parse()) {
-                (Ok(min), Ok(max)) if min <= max => Some((min, max)),
-                _ => None,
-            },
-            _ => None,
-        };
-        map.insert(
-            label.to_owned(),
-            ShardIndexRecord {
-                path: path.to_owned(),
-                rows,
-                blocks,
-                days,
-            },
-        );
+        let (shard, record) = parse_index_record(line).ok_or_else(|| {
+            Error::parse(
+                "mlab/index.tsv record: label, path, rows, blocks, min_day, max_day",
+                &format!("{MLAB_INDEX}:{}: {line}", i + 1),
+            )
+        })?;
+        map.insert(shard, record);
     }
-    map
+    Ok(map)
+}
+
+/// One `mlab/index.tsv` record, or `None` when it is malformed.
+fn parse_index_record(line: &str) -> Option<(bandwidth::NdtShard, ShardIndexRecord)> {
+    let cols: Vec<&str> = line.split('\t').collect();
+    let &[label, path, rows, blocks, min_day, max_day] = cols.as_slice() else {
+        return None;
+    };
+    let (cc, month) = label.split_once('/')?;
+    let shard = (CountryCode::new(cc).ok()?, month.parse().ok()?);
+    let rows: u64 = rows.parse().ok()?;
+    let days = if rows == 0 {
+        (min_day == "-" && max_day == "-").then_some(None)?
+    } else {
+        let (lo, hi): (i64, i64) = (min_day.parse().ok()?, max_day.parse().ok()?);
+        (lo <= hi).then_some(Some((lo, hi)))?
+    };
+    let record = ShardIndexRecord {
+        path: path.to_owned(),
+        rows,
+        blocks: blocks.parse().ok()?,
+        days,
+    };
+    Some((shard, record))
 }
 
 /// One shard's index record payload: rows, blocks, and the
-/// `(min_day, max_day)` span when the encoding can state it.
+/// `(min_day, max_day)` span (`None` for an empty shard).
 type ShardCensus = (u64, u64, Option<(i64, i64)>);
 
 /// Row/block/day-span census of one encoded shard, for the shard index.
-/// Text shards scan the date field per row; v2 containers answer from
-/// the footer index alone; v1 containers report an unknown span.
+/// Text shards scan the date field per row; containers answer from the
+/// footer index alone.
 fn shard_census(bytes: &[u8], format: ShardFormat) -> io::Result<ShardCensus> {
     match format {
         ShardFormat::Text => {
@@ -227,11 +213,13 @@ fn shard_census(bytes: &[u8], format: ShardFormat) -> io::Result<ShardCensus> {
             Ok((rows, 1, days))
         }
         ShardFormat::Columnar => {
-            let (rows, blocks) = columnar::container_stats(bytes)
+            let reader = ColumnReader::open(bytes)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            let days = columnar::container_day_span(bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Ok((rows, blocks, days))
+            Ok((
+                reader.rows() as u64,
+                reader.block_count() as u64,
+                reader.day_span(),
+            ))
         }
     }
 }
@@ -243,7 +231,8 @@ fn shard_census(bytes: &[u8], format: ShardFormat) -> io::Result<ShardCensus> {
 const SHARD_GEN_VERSION: &str = "v2";
 
 /// The fingerprint of everything a shard's bytes depend on: generator
-/// version, on-disk codec (text / columnar v2 / columnar v1), seed, the
+/// version, on-disk codec (the format's flag spelling, `text` or
+/// `columnar`), seed, the
 /// country's effective volume scale (plus the shard label itself), and —
 /// for non-default scenarios only — the scenario fingerprint. The default
 /// (Venezuela) scenario adds nothing, so trees dumped before the scenario
@@ -464,9 +453,11 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
     // manifest fingerprint changed (or whose file is gone) are rebuilt.
     let plan = bandwidth::shard_plan(windows::mlab_start(), end);
     let previous = read_shard_manifest(root);
-    let previous_index = read_shard_index(root);
+    // An unreadable previous index is as good as none: every skipped
+    // shard is then censused from its file below.
+    let previous_index = read_shard_index(root).unwrap_or_default();
     let fmt = options.shard_format;
-    let codec_tag = options.codec_tag();
+    let codec_tag = &fmt.to_string();
     let jobs: Vec<(bandwidth::NdtShard, bool)> = plan
         .iter()
         .map(|&shard| {
@@ -499,13 +490,7 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
                     }
                     text.into_bytes()
                 }
-                ShardFormat::Columnar => {
-                    if options.columnar_v1 {
-                        columnar::encode_rows(&rows)
-                    } else {
-                        columnar::encode_rows_v2(&rows)
-                    }
-                }
+                ShardFormat::Columnar => columnar::encode_rows_v2(&rows),
             })
         },
     );
@@ -539,14 +524,10 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
                 summary.files.push(rel.clone());
                 summary.shards_skipped += 1;
                 // Reuse the previous index record for untouched shards;
-                // a pre-index tree (no index.tsv yet) — or a pre-day-span
-                // index whose non-empty record can't say what it covers —
-                // is censused from the file it proved exists during the
-                // freshness check.
-                let (rows, blocks, days) = match previous_index.get(&label) {
-                    Some(rec) if rec.path == rel && (rec.days.is_some() || rec.rows == 0) => {
-                        (rec.rows, rec.blocks, rec.days)
-                    }
+                // one the previous index lacks is censused from the file
+                // it proved exists during the freshness check.
+                let (rows, blocks, days) = match previous_index.get(&shard) {
+                    Some(rec) if rec.path == rel => (rec.rows, rec.blocks, rec.days),
                     _ => shard_census(&fs::read(root.join(&rel))?, fmt)?,
                 };
                 (previous[&label].content_hash, rows, blocks, days)
@@ -648,9 +629,10 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
 /// NDT shards are the one archive that is unbounded at real scale, so
 /// text shards are *streamed* through `ndt::stream_rows` into an
 /// aggregator without materializing the file; columnar `.ndtc` shards
-/// are read whole — their CRC-32 footer covers the full container — and
-/// decoded with every structural check applied. The shard manifest is
-/// verified structurally: every shard it lists must exist.
+/// are read whole and decoded through [`ColumnReader`] with every
+/// structural check applied, each block's CRC-32 included. The shard
+/// manifest and the shard index are verified structurally: the index
+/// must parse, and every shard either lists must exist.
 pub fn verify(root: &Path) -> Result<usize> {
     let mut checked = 0usize;
     let read = |rel: &str| -> String { fs::read_to_string(root.join(rel)).unwrap_or_default() };
@@ -673,9 +655,12 @@ pub fn verify(root: &Path) -> Result<usize> {
         }
         if rel == MLAB_INDEX {
             // Structural check: every indexed shard file must exist.
-            for (label, rec) in read_shard_index(root) {
+            for ((cc, month), rec) in read_shard_index(root)? {
                 if !root.join(&rec.path).exists() {
-                    return Err(lacnet_types::Error::missing("NDT shard from index", &label));
+                    return Err(Error::missing(
+                        "NDT shard from index",
+                        format!("{cc}/{month}"),
+                    ));
                 }
             }
             checked += 1;
@@ -685,7 +670,9 @@ pub fn verify(root: &Path) -> Result<usize> {
             if rel.ends_with(".ndtc") {
                 let bytes = fs::read(root.join(rel))
                     .map_err(|_| lacnet_types::Error::missing("NDT archive shard", rel))?;
-                agg.observe_columns(&columnar::decode(&bytes)?);
+                let (batch, _) =
+                    ColumnReader::open(&bytes)?.read_counted(&ColumnSelection::all())?;
+                agg.observe_columns(&batch);
             } else {
                 let file = fs::File::open(root.join(rel))
                     .map_err(|_| lacnet_types::Error::missing("NDT archive shard", rel))?;
@@ -784,7 +771,6 @@ mod tests {
             DumpOptions {
                 shard_format: ShardFormat::Text,
                 force: true,
-                ..DumpOptions::default()
             },
         )
         .expect("forced re-dump");
@@ -794,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_index_tracks_the_tree_and_v1_dumps_write_legacy_containers() {
+    fn shard_index_tracks_the_tree() {
         let world = crate::experiments::testworld::world();
         let dir = std::env::temp_dir().join(format!("lacnet-dump-idx-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -804,38 +790,64 @@ mod tests {
         };
         dump_with(world, &dir, columnar).expect("v2 dump succeeds");
         let plan = bandwidth::shard_plan(windows::mlab_start(), world.config.end);
-        let index = read_shard_index(&dir);
+        let index = read_shard_index(&dir).expect("index parses");
         assert_eq!(index.len(), plan.len());
         let total_rows: u64 = index.values().map(|r| r.rows).sum();
         assert!(total_rows > 0);
         for rec in index.values() {
             assert!(dir.join(&rec.path).exists(), "{} missing", rec.path);
             assert!(rec.blocks >= 1);
+            assert_eq!(rec.days.is_none(), rec.rows == 0, "{}", rec.path);
         }
         let ve_july = std::fs::read(dir.join("mlab/VE/ndt-2023-07.ndtc")).unwrap();
-        assert_eq!(ve_july[4], 2, "the default columnar writer emits v2");
+        assert_eq!(ve_july[4], 2, "the columnar writer emits v2");
         // A no-op re-dump reproduces the index from reused records.
         dump_with(world, &dir, columnar).expect("re-dump succeeds");
-        assert_eq!(read_shard_index(&dir), index);
-        // `--ndtc-v1` is a distinct codec: everything rewrites as legacy
-        // single-block containers, and the tree still verifies.
-        let v1 = dump_with(
-            world,
-            &dir,
-            DumpOptions {
-                shard_format: ShardFormat::Columnar,
-                columnar_v1: true,
-                ..DumpOptions::default()
-            },
-        )
-        .expect("v1 dump succeeds");
-        assert_eq!(v1.shards_skipped, 0);
-        let ve_july = std::fs::read(dir.join("mlab/VE/ndt-2023-07.ndtc")).unwrap();
-        assert_eq!(ve_july[4], 1, "--ndtc-v1 emits the legacy container");
-        let v1_index = read_shard_index(&dir);
-        assert!(v1_index.values().all(|r| r.blocks == 1));
-        assert_eq!(v1_index.values().map(|r| r.rows).sum::<u64>(), total_rows);
-        verify(&dir).expect("v1 tree verifies");
+        assert_eq!(read_shard_index(&dir).unwrap(), index);
+        // A re-dump over a tree whose index is unreadable treats it as
+        // absent: it censuses every skipped shard and writes it afresh.
+        std::fs::write(dir.join(MLAB_INDEX), "VE/2023-07\tshort\n").unwrap();
+        let again = dump_with(world, &dir, columnar).expect("re-dump succeeds");
+        assert_eq!(again.shards_written, 0);
+        assert_eq!(read_shard_index(&dir).unwrap(), index);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn malformed_shard_index_records_are_typed_errors_naming_the_line() {
+        let dir = std::env::temp_dir().join(format!("lacnet-idx-bad-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        match read_shard_index(&dir) {
+            Err(Error::Missing { key, .. }) => assert!(key.ends_with(MLAB_INDEX), "{key}"),
+            other => panic!("a missing index must fail typed, got {other:?}"),
+        }
+        std::fs::create_dir_all(dir.join("mlab")).unwrap();
+        let good = "# header\nVE/2023-07\tmlab/VE/ndt-2023-07.ndtc\t3\t1\t19539\t19569\n\
+                    VE/2023-08\tmlab/VE/ndt-2023-08.ndtc\t0\t0\t-\t-\n";
+        std::fs::write(dir.join(MLAB_INDEX), good).unwrap();
+        let index = read_shard_index(&dir).expect("well-formed index parses");
+        assert_eq!(index.len(), 2);
+        let july = &index[&(country::VE, MonthStamp::new(2023, 7))];
+        assert_eq!((july.rows, july.days), (3, Some((19539, 19569))));
+        assert_eq!(index[&(country::VE, MonthStamp::new(2023, 8))].days, None);
+        for bad in [
+            "VE/2023-07\tmlab/VE/ndt-2023-07.ndtc\t3\t1",
+            "VE/2023-07\tmlab/VE/ndt-2023-07.ndtc\t3\t1\t19539\t19569\textra",
+            "VEN/2023-07\tmlab/VE/ndt-2023-07.ndtc\t3\t1\t19539\t19569",
+            "VE/2023-13\tmlab/VE/ndt-2023-13.ndtc\t3\t1\t19539\t19569",
+            "VE/2023-07\tmlab/VE/ndt-2023-07.ndtc\tmany\t1\t19539\t19569",
+            "VE/2023-07\tmlab/VE/ndt-2023-07.ndtc\t3\t1\t-\t-",
+            "VE/2023-07\tmlab/VE/ndt-2023-07.ndtc\t0\t0\t19539\t19569",
+            "VE/2023-07\tmlab/VE/ndt-2023-07.ndtc\t3\t1\t19569\t19539",
+        ] {
+            std::fs::write(dir.join(MLAB_INDEX), format!("{good}{bad}\n")).unwrap();
+            match read_shard_index(&dir) {
+                Err(Error::Parse { input, .. }) => {
+                    assert!(input.starts_with("mlab/index.tsv:4: "), "{input}")
+                }
+                other => panic!("{bad:?} must fail typed, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

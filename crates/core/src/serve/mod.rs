@@ -24,6 +24,7 @@ use lacnet_types::codec;
 use lacnet_types::http::{self, Body, Limits, Request, Response};
 use lacnet_types::json::Json;
 use lacnet_types::lru::LruCache;
+use lacnet_types::{CountryCode, MonthStamp};
 use metrics::{Metrics, Outcome};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -468,21 +469,21 @@ fn read_stats_json(read: &lacnet_mlab::ReadStats) -> Json {
     ])
 }
 
-/// Serve the `/ndt/` prefix. A path with a month segment —
-/// `/ndt/{CC}/{YYYY-MM}` — is one `(country, month)` query routed
-/// through [`DataSource::ndt_month_stats`]; on a v2 columnar archive
-/// that decodes only the matching blocks' download column, and the
-/// response reports exactly how much of the shard was touched. A bare
-/// country — `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — is a range query
-/// through [`DataSource::ndt_range_stats`]: the shard plan is pruned on
-/// the resident index, fanned across workers, and merged in
-/// deterministic plan order. Results (including 404s: shard absence is
-/// a property of the fingerprinted archive generation) are cached under
-/// the normalized range, so every spelling of one window shares one LRU
-/// slot; malformed or reversed or out-of-dataset ranges are typed 400s
-/// that never occupy a computed slot; backend I/O errors are not cached.
-/// Both forms are single-flight: concurrent requests for one cold key
-/// compute it once.
+/// Serve the `/ndt/` prefix, both forms through one path. A path with a
+/// month segment — `/ndt/{CC}/{YYYY-MM}` — is the one-month window; a
+/// bare country — `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — is a range. Either
+/// way the answer is one [`DataSource::ndt_range_stats`] call: the shard
+/// plan is pruned on the resident index, fanned across workers, and
+/// merged in deterministic plan order; on a columnar archive only the
+/// matching blocks' download column is decoded, and the response reports
+/// exactly how much was touched. Results (including 404s: shard absence
+/// is a property of the fingerprinted archive generation) are cached
+/// under the normalized `{cc}/{from}/{to}` window, per form, so every
+/// spelling of one query shares one LRU slot; malformed, reversed or
+/// out-of-dataset ranges are typed 400s that never occupy a slot; backend
+/// I/O errors are not cached. Lookups are single-flight: concurrent
+/// requests for one cold key compute it once. Metrics count the forms
+/// apart, as `ndt` and `ndt-range`.
 fn ndt_query(
     state: &ServerState,
     source: &Arc<DataSource<'static>>,
@@ -491,78 +492,111 @@ fn ndt_query(
     query: &str,
     t0: Instant,
 ) -> Response {
-    use lacnet_types::{CountryCode, MonthStamp};
-    if !rest.contains('/') {
-        return ndt_range_query(state, source, fingerprint, rest, query, t0);
-    }
-    let parsed = rest.split_once('/').and_then(|(cc, month)| {
-        Some((
-            CountryCode::new(cc).ok()?,
-            month.parse::<MonthStamp>().ok()?,
-        ))
-    });
-    let Some((cc, month)) = parsed else {
-        state
-            .metrics
-            .record("ndt", Outcome::Uncached, t0.elapsed().as_secs_f64());
-        return json_error(400, "ndt query path must be /ndt/{CC}/{YYYY-MM}");
+    let month_form = rest.contains('/');
+    let endpoint = if month_form { "ndt" } else { "ndt-range" };
+    let (cc, from, to) = match parse_ndt_query(source, rest, query) {
+        Ok(window) => window,
+        Err(message) => {
+            state
+                .metrics
+                .record(endpoint, Outcome::Uncached, t0.elapsed().as_secs_f64());
+            return json_error(400, message);
+        }
     };
     let key = (
-        "ndt".to_owned(),
-        format!("{cc}/{month}"),
+        endpoint.to_owned(),
+        format!("{cc}/{from}/{to}"),
         fingerprint.to_owned(),
     );
     let computed = state
         .cache
         .try_get_or_compute(key, || -> lacnet_types::Result<_> {
-            let Some(stats) = source.ndt_month_stats(cc, month)? else {
-                return Ok(json_error(404, "no NDT shard for that country and month"));
+            let stats = source.ndt_range_stats(cc, from, to)?;
+            let Some((month, m)) = stats.months.first() else {
+                return Ok(json_error(
+                    404,
+                    if month_form {
+                        "no NDT shard for that country and month"
+                    } else {
+                        "no NDT shards for that country in that range"
+                    },
+                ));
             };
-            let body = Json::Obj(vec![
-                ("country".into(), Json::Str(cc.to_string())),
-                ("month".into(), Json::Str(month.to_string())),
-                ("rows".into(), Json::Num(stats.rows as f64)),
-                (
-                    "median_download_mbps".into(),
-                    stats.median_download.map_or(Json::Null, Json::Num),
-                ),
-                ("format".into(), Json::Str(stats.format.into())),
-                ("read".into(), read_stats_json(&stats.read)),
-            ])
-            .to_text();
+            let body = if month_form {
+                Json::Obj(vec![
+                    ("country".into(), Json::Str(cc.to_string())),
+                    ("month".into(), Json::Str(month.to_string())),
+                    ("rows".into(), Json::Num(m.rows as f64)),
+                    (
+                        "median_download_mbps".into(),
+                        m.median_download.map_or(Json::Null, Json::Num),
+                    ),
+                    ("format".into(), Json::Str(m.format.into())),
+                    ("read".into(), read_stats_json(&m.read)),
+                ])
+            } else {
+                let months = stats
+                    .months
+                    .iter()
+                    .map(|(month, m)| {
+                        Json::Obj(vec![
+                            ("month".into(), Json::Str(month.to_string())),
+                            ("rows".into(), Json::Num(m.rows as f64)),
+                            (
+                                "median_download_mbps".into(),
+                                m.median_download.map_or(Json::Null, Json::Num),
+                            ),
+                            ("format".into(), Json::Str(m.format.into())),
+                        ])
+                    })
+                    .collect();
+                Json::Obj(vec![
+                    ("country".into(), Json::Str(cc.to_string())),
+                    ("from".into(), Json::Str(from.to_string())),
+                    ("to".into(), Json::Str(to.to_string())),
+                    (
+                        "months_queried".into(),
+                        Json::Num(stats.months_queried as f64),
+                    ),
+                    (
+                        "shards_pruned".into(),
+                        Json::Num(stats.shards_pruned as f64),
+                    ),
+                    ("rows".into(), Json::Num(stats.rows as f64)),
+                    (
+                        "mean_monthly_median_mbps".into(),
+                        stats.mean_monthly_median.map_or(Json::Null, Json::Num),
+                    ),
+                    ("months".into(), Json::Arr(months)),
+                    ("read".into(), read_stats_json(&stats.read)),
+                ])
+            };
+            let body = body.to_text();
             Ok(Response::new(200, "application/json", body.into_bytes()))
         });
-    cached_or_500(state, "ndt", computed, t0)
+    cached_or_500(state, endpoint, computed, t0)
 }
 
-/// Serve `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — the range form of the
-/// NDT query. Validation happens entirely before the cache: the query
-/// string is strictly normalized (so `?to=…&from=…` and percent-escaped
-/// spellings collapse to one canonical `{cc}/{from}/{to}` key), months
-/// must parse, `from` must not exceed `to`, and the window must
-/// intersect the dataset's NDT months. Only validated ranges can occupy
-/// an LRU slot.
-fn ndt_range_query(
-    state: &ServerState,
-    source: &Arc<DataSource<'static>>,
-    fingerprint: &str,
+/// Parse either `/ndt/` form into its inclusive month window. The month
+/// form only has to parse: a month outside the data is answered (and
+/// cached) as a 404. The range form's query string is strictly
+/// normalized, so `?to=…&from=…` and percent-escaped spellings collapse
+/// to one window; both months must parse, `from` must not exceed `to`,
+/// and the window must intersect the dataset's NDT months.
+fn parse_ndt_query(
+    source: &DataSource,
     rest: &str,
     query: &str,
-    t0: Instant,
-) -> Response {
-    use lacnet_types::{CountryCode, MonthStamp};
-    let reject = |message: &str| -> Response {
-        state
-            .metrics
-            .record("ndt-range", Outcome::Uncached, t0.elapsed().as_secs_f64());
-        json_error(400, message)
-    };
-    let Ok(cc) = CountryCode::new(rest) else {
-        return reject("ndt range path must be /ndt/{CC}?from=YYYY-MM&to=YYYY-MM");
-    };
-    let Some(pairs) = http::normalize_query(query) else {
-        return reject("malformed percent-escape in query");
-    };
+) -> Result<(CountryCode, MonthStamp, MonthStamp), &'static str> {
+    if let Some((cc, month)) = rest.split_once('/') {
+        let path_error = "ndt query path must be /ndt/{CC}/{YYYY-MM}";
+        let cc = CountryCode::new(cc).map_err(|_| path_error)?;
+        let month = month.parse::<MonthStamp>().map_err(|_| path_error)?;
+        return Ok((cc, month, month));
+    }
+    let cc = CountryCode::new(rest)
+        .map_err(|_| "ndt range path must be /ndt/{CC}?from=YYYY-MM&to=YYYY-MM")?;
+    let pairs = http::normalize_query(query).ok_or("malformed percent-escape in query")?;
     let month_param = |key: &str| -> Option<Result<MonthStamp, ()>> {
         pairs
             .iter()
@@ -572,71 +606,18 @@ fn ndt_range_query(
     let (from, to) = match (month_param("from"), month_param("to")) {
         (Some(Ok(from)), Some(Ok(to))) => (from, to),
         (None, _) | (_, None) => {
-            return reject("ndt range query needs both from=YYYY-MM and to=YYYY-MM")
+            return Err("ndt range query needs both from=YYYY-MM and to=YYYY-MM")
         }
-        _ => return reject("from/to must be YYYY-MM months"),
+        _ => return Err("from/to must be YYYY-MM months"),
     };
     if from > to {
-        return reject("ndt range: from month after to month");
+        return Err("ndt range: from month after to month");
     }
     let (first, last) = source.ndt_month_bounds();
     if to < first || from > last {
-        return reject("ndt range lies outside the dataset months");
+        return Err("ndt range lies outside the dataset months");
     }
-    let key = (
-        "ndt-range".to_owned(),
-        format!("{cc}/{from}/{to}"),
-        fingerprint.to_owned(),
-    );
-    let computed = state
-        .cache
-        .try_get_or_compute(key, || -> lacnet_types::Result<_> {
-            let stats = source.ndt_range_stats(cc, from, to)?;
-            if stats.months.is_empty() {
-                return Ok(json_error(
-                    404,
-                    "no NDT shards for that country in that range",
-                ));
-            }
-            let months = stats
-                .months
-                .iter()
-                .map(|(month, m)| {
-                    Json::Obj(vec![
-                        ("month".into(), Json::Str(month.to_string())),
-                        ("rows".into(), Json::Num(m.rows as f64)),
-                        (
-                            "median_download_mbps".into(),
-                            m.median_download.map_or(Json::Null, Json::Num),
-                        ),
-                        ("format".into(), Json::Str(m.format.into())),
-                    ])
-                })
-                .collect();
-            let body = Json::Obj(vec![
-                ("country".into(), Json::Str(cc.to_string())),
-                ("from".into(), Json::Str(from.to_string())),
-                ("to".into(), Json::Str(to.to_string())),
-                (
-                    "months_queried".into(),
-                    Json::Num(stats.months_queried as f64),
-                ),
-                (
-                    "shards_pruned".into(),
-                    Json::Num(stats.shards_pruned as f64),
-                ),
-                ("rows".into(), Json::Num(stats.rows as f64)),
-                (
-                    "mean_monthly_median_mbps".into(),
-                    stats.mean_monthly_median.map_or(Json::Null, Json::Num),
-                ),
-                ("months".into(), Json::Arr(months)),
-                ("read".into(), read_stats_json(&stats.read)),
-            ])
-            .to_text();
-            Ok(Response::new(200, "application/json", body.into_bytes()))
-        });
-    cached_or_500(state, "ndt-range", computed, t0)
+    Ok((cc, from, to))
 }
 
 /// Record the outcome of a fallible single-flight lookup under

@@ -25,7 +25,7 @@ use lacnet_crisis::world::SnapshotCache;
 use lacnet_crisis::{bandwidth, blackouts, Economy, World, WorldConfig};
 use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
 use lacnet_mlab::columnar::{
-    self, ColumnReaderRef, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
+    ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
 };
 use lacnet_offnets::certs::CertScan;
 use lacnet_peeringdb::{Snapshot, SnapshotArchive};
@@ -72,9 +72,9 @@ pub struct ArchiveWorld {
     /// Daily reachability parsed from the per-country Atlas TSVs.
     pub reachability: BTreeMap<CountryCode, ReachabilitySeries>,
     /// The archive-level NDT shard index (`mlab/index.tsv`), keyed by
-    /// `CC/YYYY-MM` label. Empty on pre-index trees — queries then fall
-    /// back to probing shard paths directly.
-    ndt_index: BTreeMap<String, crate::datasets::ShardIndexRecord>,
+    /// `(country, month)` — the one resolver from a query to its shard
+    /// files.
+    ndt_index: BTreeMap<bandwidth::NdtShard, crate::datasets::ShardIndexRecord>,
     root: PathBuf,
     pfx2as_cache: SnapshotCache,
     cone_cache: ConeCache,
@@ -90,8 +90,8 @@ pub struct NdtMonthStats {
     /// P² median download (Mbit/s) over those tests, in row order — the
     /// same estimator state the resident aggregate holds for the group.
     pub median_download: Option<f64>,
-    /// The backing the answer came from (`columnar-v2`, `columnar-v1`,
-    /// `text`, or `in-memory`).
+    /// The backing the answer came from (`columnar-v2`, `text`, or
+    /// `in-memory`).
     pub format: &'static str,
     /// Decode accounting (zero for text and in-memory backings).
     pub read: ReadStats,
@@ -138,8 +138,8 @@ fn month_from_name(name: &str, prefix: &str, suffix: &str) -> Option<MonthStamp>
 
 impl ArchiveWorld {
     /// Load an archive dumped by [`crate::datasets::dump`] from `root`,
-    /// parsing every dataset from its native format, auto-detecting the
-    /// NDT shard encoding per shard. See [`ArchiveWorld::load_with`].
+    /// parsing every dataset from its native format, each NDT shard in
+    /// the encoding the shard index names. See [`ArchiveWorld::load_with`].
     pub fn load(root: &Path) -> Result<ArchiveWorld> {
         ArchiveWorld::load_with(root, None)
     }
@@ -149,13 +149,15 @@ impl ArchiveWorld {
     ///
     /// NDT shards feed the aggregator in shard-plan order — the exact
     /// observation sequence the in-memory aggregator saw — so the
-    /// order-sensitive P² estimators land in identical state. Each
-    /// shard's on-disk format is auto-detected (columnar `.ndtc` probed
-    /// first, then text `.tsv`); columnar shards are decoded on sweep
-    /// workers and merged through `observe_columns`, while text shards
-    /// are *streamed* through `ndt::stream_rows` without materializing
-    /// the file. Passing `Some(format)` in `expect` instead demands that
-    /// every shard be in that format and fails on the first that is not.
+    /// order-sensitive P² estimators land in identical state. The
+    /// required shard index (`mlab/index.tsv`) names every planned
+    /// shard's file, and so its format; a missing or malformed index, or
+    /// one without a record for a planned shard, fails the load typed.
+    /// Columnar shards are decoded on sweep workers and merged through
+    /// `observe_columns`, while text shards are *streamed* through
+    /// `ndt::stream_rows` without materializing the file. Passing
+    /// `Some(format)` in `expect` demands that every shard be in that
+    /// format and fails on the first that is not.
     pub fn load_with(root: &Path, expect: Option<ShardFormat>) -> Result<ArchiveWorld> {
         let read = |rel: &str| -> Result<String> {
             fs::read_to_string(root.join(rel))
@@ -228,32 +230,26 @@ impl ArchiveWorld {
             last_delegations,
         )?)?)?;
 
-        // Resolve each shard's on-disk format, then decode the columnar
-        // ones on sweep workers. The sequential merge below still runs in
-        // plan order, so both formats replay the identical observation
-        // sequence.
+        // Resolve each planned shard's file through the index, then
+        // decode the columnar ones on sweep workers. The sequential merge
+        // below still runs in plan order, so both formats replay the
+        // identical observation sequence.
+        let ndt_index = crate::datasets::read_shard_index(root)?;
         let plan = bandwidth::shard_plan(windows::mlab_start(), config.end);
-        let resolved: Vec<(String, ShardFormat)> = plan
+        let resolved: Vec<&str> = plan
             .iter()
-            .map(|&shard| -> Result<(String, ShardFormat)> {
-                let format = match expect {
-                    Some(format) => format,
-                    None => {
-                        let columnar =
-                            crate::datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-                        if root.join(&columnar).exists() {
-                            ShardFormat::Columnar
-                        } else {
-                            ShardFormat::Text
-                        }
+            .map(|&shard| -> Result<&str> {
+                let (cc, month) = shard;
+                let rec = ndt_index.get(&shard).ok_or_else(|| {
+                    Error::missing("NDT shard in mlab/index.tsv", format!("{cc}/{month}"))
+                })?;
+                if let Some(format) = expect {
+                    let rel = crate::datasets::mlab_shard_path_with(shard, format);
+                    if rec.path != rel {
+                        return Err(Error::missing("NDT archive shard", rel));
                     }
-                };
-                let rel = crate::datasets::mlab_shard_path_with(shard, format);
-                if root.join(&rel).exists() {
-                    Ok((rel, format))
-                } else {
-                    Err(Error::missing("NDT archive shard", &rel))
                 }
+                Ok(&rec.path)
             })
             .collect::<Result<_>>()?;
         // Decode only the columns some registered consumer declared a
@@ -263,26 +259,24 @@ impl ArchiveWorld {
         let decoded = sweep::parallel_map_with(
             sweep::worker_count(resolved.len()),
             &resolved,
-            |(rel, format)| -> Option<Result<lacnet_mlab::ColumnBatch>> {
-                match format {
-                    ShardFormat::Text => None,
-                    ShardFormat::Columnar => Some(
-                        fs::read(root.join(rel))
-                            .map_err(|_| Error::missing("NDT archive shard", rel))
-                            .and_then(|bytes| columnar::read_batch(&bytes, &selection)),
-                    ),
-                }
+            |rel| -> Option<Result<lacnet_mlab::ColumnBatch>> {
+                rel.ends_with(".ndtc").then(|| {
+                    let bytes = fs::read(root.join(rel))
+                        .map_err(|_| Error::missing("NDT archive shard", *rel))?;
+                    let (batch, _) = ColumnReader::open(&bytes)?.read_counted(&selection)?;
+                    Ok(batch)
+                })
             },
         );
         let mut mlab = MonthlyAggregator::new(Mode::Streaming);
-        for ((rel, _), batch) in resolved.iter().zip(decoded) {
+        for (rel, batch) in resolved.iter().zip(decoded) {
             match batch {
                 Some(batch) => {
                     mlab.observe_columns(&batch?);
                 }
                 None => {
                     let file = fs::File::open(root.join(rel))
-                        .map_err(|_| Error::missing("NDT archive shard", rel))?;
+                        .map_err(|_| Error::missing("NDT archive shard", *rel))?;
                     mlab.observe_reader(io::BufReader::new(file))?;
                 }
             }
@@ -302,58 +296,16 @@ impl ArchiveWorld {
             cert_scans,
             top_sites,
             reachability,
-            ndt_index: crate::datasets::read_shard_index(root),
+            ndt_index,
             root: root.to_owned(),
             pfx2as_cache: SnapshotCache::new(),
             cone_cache: ConeCache::new(),
         })
     }
 
-    /// Resolve the shard file answering `(cc, month)`: the resident
-    /// shard index (parsed once at load) maps the label to its path and
-    /// day-span summary; pre-index trees fall back to probing both
-    /// encodings, columnar first (mirroring load-time auto-detection).
-    fn resolve_ndt_shard(
-        &self,
-        cc: CountryCode,
-        month: MonthStamp,
-    ) -> Option<(String, Option<(i64, i64)>)> {
-        let label = format!("{cc}/{month}");
-        if let Some(rec) = self.ndt_index.get(&label) {
-            return Some((rec.path.clone(), rec.days));
-        }
-        let shard = (cc, month);
-        let columnar_rel = crate::datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-        if self.root.join(&columnar_rel).exists() {
-            return Some((columnar_rel, None));
-        }
-        let text_rel = crate::datasets::mlab_shard_path_with(shard, ShardFormat::Text);
-        self.root
-            .join(&text_rel)
-            .exists()
-            .then_some((text_rel, None))
-    }
-
-    /// Answer one `(country, month)` NDT query straight off the archive:
-    /// the shard index maps the query to its single shard file, and a v2
-    /// container decodes only the download column of the blocks whose
-    /// index entries match. `Ok(None)` when the archive holds no shard
-    /// for that pair.
-    pub fn ndt_month_stats(
-        &self,
-        cc: CountryCode,
-        month: MonthStamp,
-    ) -> Result<Option<NdtMonthStats>> {
-        let Some((rel, _)) = self.resolve_ndt_shard(cc, month) else {
-            return Ok(None);
-        };
-        let mut scratch = DecodeScratch::new();
-        self.ndt_shard_stats(cc, month, &rel, &mut scratch)
-    }
-
-    /// Decode one resolved shard — the shared per-shard body of the
-    /// single-month and range queries. v2 containers go through the
-    /// borrowed [`ColumnReaderRef::scan_counted`] path: download values
+    /// Decode one resolved shard — the per-shard body of
+    /// [`ArchiveWorld::ndt_range_stats`]. Containers go through the
+    /// borrowed [`ColumnReader::scan_counted`] path: download values
     /// feed the order-sensitive P² estimator straight off the
     /// [`lacnet_mlab::ColumnSlice`] view and dictionary columns land in
     /// the caller's reusable scratch, so after warm-up the only
@@ -364,48 +316,27 @@ impl ArchiveWorld {
         month: MonthStamp,
         rel: &str,
         scratch: &mut DecodeScratch,
-    ) -> Result<Option<NdtMonthStats>> {
+    ) -> Result<NdtMonthStats> {
         let path = self.root.join(rel);
-        if !path.exists() {
-            return Ok(None);
-        }
         let mut p2 = P2Quantile::median();
         if rel.ends_with(".ndtc") {
             let bytes = fs::read(&path).map_err(|_| Error::missing("NDT archive shard", rel))?;
-            if bytes.get(4) == Some(&columnar::VERSION_V2) {
-                let reader = ColumnReaderRef::open(&bytes)?;
-                let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
-                let mut rows = 0usize;
-                let read = reader.scan_counted(&selection, scratch, |view| {
-                    rows += view.download().len();
-                    for v in view.download().iter() {
-                        p2.observe(v);
-                    }
-                    Ok(())
-                })?;
-                Ok(Some(NdtMonthStats {
-                    rows,
-                    median_download: p2.value(),
-                    format: "columnar-v2",
-                    read,
-                }))
-            } else {
-                let batch = columnar::decode(&bytes)?;
-                for &v in batch.download() {
+            let reader = ColumnReader::open(&bytes)?;
+            let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
+            let mut rows = 0usize;
+            let read = reader.scan_counted(&selection, scratch, |view| {
+                rows += view.download().len();
+                for v in view.download().iter() {
                     p2.observe(v);
                 }
-                Ok(Some(NdtMonthStats {
-                    rows: batch.len(),
-                    median_download: p2.value(),
-                    format: "columnar-v1",
-                    read: ReadStats {
-                        blocks_total: 1,
-                        blocks_decoded: 1,
-                        bytes_decoded: bytes.len(),
-                        columns_decoded: 7,
-                    },
-                }))
-            }
+                Ok(())
+            })?;
+            Ok(NdtMonthStats {
+                rows,
+                median_download: p2.value(),
+                format: "columnar-v2",
+                read,
+            })
         } else {
             let file =
                 fs::File::open(&path).map_err(|_| Error::missing("NDT archive shard", rel))?;
@@ -417,22 +348,23 @@ impl ArchiveWorld {
                     rows += 1;
                 }
             }
-            Ok(Some(NdtMonthStats {
+            Ok(NdtMonthStats {
                 rows,
                 median_download: p2.value(),
                 format: "text",
                 read: ReadStats::default(),
-            }))
+            })
         }
     }
 
     /// Answer a `(country, [from, to])` NDT range query: walk the
-    /// resident shard index once to build the shard plan, prune shards
-    /// whose indexed day span cannot intersect the window, fan the
-    /// surviving selective reads across `sweep` workers (one scratch
-    /// arena per shard), and merge in plan order so the result is
-    /// byte-stable at any worker count. `Err` on a reversed range;
-    /// months without data simply don't appear in the result.
+    /// resident shard index over exactly the window's records to build
+    /// the shard plan, prune shards whose indexed day span cannot
+    /// intersect the window, fan the surviving selective reads across
+    /// `sweep` workers (one scratch arena per shard), and merge in plan
+    /// order so the result is byte-stable at any worker count. `Err` on
+    /// a reversed range; months without data simply don't appear in the
+    /// result. A single-month query is the one-month range.
     pub fn ndt_range_stats(
         &self,
         cc: CountryCode,
@@ -446,46 +378,25 @@ impl ArchiveWorld {
         let hi = to.last_day().days_since_epoch();
         let months_queried = (from.months_until(to) + 1) as usize;
         let mut shards_pruned = 0usize;
-        let mut plan: Vec<(MonthStamp, String)> = Vec::new();
-        if self.ndt_index.is_empty() {
-            // Pre-index tree: no summaries to prune by — probe each
-            // month's shard paths directly.
-            for month in from.through(to) {
-                if let Some((rel, _)) = self.resolve_ndt_shard(cc, month) {
-                    plan.push((month, rel));
+        // One ordered walk over exactly the window's slice of the
+        // resident index. A shard stays in the plan unless its day-span
+        // summary proves it cannot intersect the window (sparse or
+        // mislabeled data, or future partial live-ingested months) — then
+        // the file is skipped without opening it. Empty shards carry no
+        // span and are never pruned.
+        let mut plan: Vec<(MonthStamp, &str)> = Vec::new();
+        for (&(_, month), rec) in self.ndt_index.range((cc, from)..=(cc, to)) {
+            match rec.days {
+                Some((min_day, max_day)) if max_day < lo || min_day > hi => {
+                    shards_pruned += 1;
                 }
-            }
-        } else {
-            // One ordered walk over the country's slice of the resident
-            // index (`BTreeMap` range on the `CC/` label prefix). A
-            // shard stays in the plan only if its month is inside the
-            // window *and* its day-span summary can intersect it — a
-            // summary that proves otherwise (sparse or mislabeled data,
-            // or future partial live-ingested months) skips the file
-            // without opening it. Unknown spans are never pruned.
-            let prefix = format!("{cc}/");
-            for (label, rec) in self.ndt_index.range(prefix.clone()..) {
-                let Some(month) = label.strip_prefix(&prefix) else {
-                    break;
-                };
-                let Ok(month) = month.parse::<MonthStamp>() else {
-                    continue;
-                };
-                if month < from || month > to {
-                    continue;
-                }
-                match rec.days {
-                    Some((min_day, max_day)) if max_day < lo || min_day > hi => {
-                        shards_pruned += 1;
-                    }
-                    _ => plan.push((month, rec.path.clone())),
-                }
+                _ => plan.push((month, &rec.path)),
             }
         }
         let results =
-            sweep::parallel_map_with(sweep::worker_count(plan.len()), &plan, |(month, rel)| {
+            sweep::parallel_map_with(sweep::worker_count(plan.len()), &plan, |&(month, rel)| {
                 let mut scratch = DecodeScratch::new();
-                self.ndt_shard_stats(cc, *month, rel, &mut scratch)
+                self.ndt_shard_stats(cc, month, rel, &mut scratch)
             });
         let mut months = Vec::with_capacity(plan.len());
         let mut rows = 0usize;
@@ -493,7 +404,7 @@ impl ArchiveWorld {
         let mut median_sum = 0.0;
         let mut median_count = 0usize;
         for ((month, _), result) in plan.into_iter().zip(results) {
-            let Some(stats) = result? else { continue };
+            let stats = result?;
             rows += stats.rows;
             read.absorb(stats.read);
             if let Some(m) = stats.median_download {
@@ -570,7 +481,8 @@ impl<'w> DataSource<'w> {
     }
 
     /// Load the archive backend, demanding a specific NDT shard format
-    /// (see [`ArchiveWorld::load_with`]). `None` auto-detects per shard.
+    /// (see [`ArchiveWorld::load_with`]). `None` takes each shard in the
+    /// format the shard index names.
     pub fn from_archive_with(root: &Path, expect: Option<ShardFormat>) -> Result<Self> {
         Ok(DataSource::Archive(Box::new(ArchiveWorld::load_with(
             root, expect,
@@ -665,33 +577,26 @@ impl<'w> DataSource<'w> {
         }
     }
 
-    /// One `(country, month)` NDT query — the `/ndt/{cc}/{month}` serve
-    /// endpoint. In memory it reads the resident aggregate's group
-    /// state; on the archive it routes through the shard index and (for
-    /// v2 containers) decodes only the matching blocks' download column.
+    /// One `(country, month)` NDT query: the one-month range
+    /// [`DataSource::ndt_range_stats`]`(cc, month, month)` with its
+    /// single month taken out. `Ok(None)` when the backend holds no data
+    /// for that pair.
     pub fn ndt_month_stats(
         &self,
         cc: CountryCode,
         month: MonthStamp,
     ) -> Result<Option<NdtMonthStats>> {
-        match self {
-            DataSource::InMemory(w) => Ok(w.mlab.group(cc, month).map(|g| NdtMonthStats {
-                rows: g.count(),
-                median_download: g.median(),
-                format: "in-memory",
-                read: ReadStats::default(),
-            })),
-            DataSource::Archive(a) => a.ndt_month_stats(cc, month),
-        }
+        let mut range = self.ndt_range_stats(cc, month, month)?;
+        Ok(range.months.pop().map(|(_, stats)| stats))
     }
 
-    /// A `(country, [from, to])` NDT range query — the
-    /// `/ndt/{cc}?from=&to=` serve endpoint. The in-memory backend
-    /// walks the resident aggregate's groups; the archive backend
-    /// merges parallel per-shard selective reads in plan order (see
-    /// [`ArchiveWorld::ndt_range_stats`]). Both return per-month
-    /// entries equal to the corresponding single-month query. `Err` on
-    /// a reversed range.
+    /// A `(country, [from, to])` NDT range query — both forms of the
+    /// `/ndt/` serve endpoint. The in-memory backend walks the resident
+    /// aggregate's groups; the archive backend merges parallel
+    /// per-shard selective reads in plan order (see
+    /// [`ArchiveWorld::ndt_range_stats`]), decoding only the matching
+    /// blocks' download column of each container. `Err` on a reversed
+    /// range.
     pub fn ndt_range_stats(
         &self,
         cc: CountryCode,
@@ -896,9 +801,9 @@ mod tests {
             },
         )
         .expect("columnar dump succeeds");
-        // Auto-detection and an explicit format demand both load it; a
-        // wrong demand fails typed.
-        let src = DataSource::from_archive(&dir).expect("auto-detected load");
+        // The index-resolved load and an explicit format demand both load
+        // it; a wrong demand fails typed.
+        let src = DataSource::from_archive(&dir).expect("index-resolved load");
         let demanded = DataSource::from_archive_with(&dir, Some(ShardFormat::Columnar))
             .expect("demanded columnar load");
         assert!(DataSource::from_archive_with(&dir, Some(ShardFormat::Text)).is_err());
@@ -972,8 +877,9 @@ mod tests {
         assert!(!range.months.is_empty());
 
         // The range is exactly the plan-order merge of its constituent
-        // single-month queries — per-month entries, row total and the
-        // absorbed ReadStats all included.
+        // one-month ranges — per-month entries, row total and the
+        // absorbed ReadStats all included — so a shard's answer does not
+        // depend on the window around it.
         let mut rows = 0usize;
         let mut read = ReadStats::default();
         for &(month, ref stats) in &range.months {
@@ -1043,6 +949,40 @@ mod tests {
         assert_eq!(pruned.shards_pruned, 1);
         assert_eq!(pruned.months.len(), range.months.len() - 1);
         assert!(pruned.months.iter().all(|(m, _)| *m != pruned_month));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_tree_without_a_whole_shard_index_fails_to_load_naming_it() {
+        let world = crate::experiments::testworld::world();
+        let dir = std::env::temp_dir().join(format!("lacnet-src-noidx-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        crate::datasets::dump(world, &dir).expect("dump succeeds");
+        let index_path = dir.join(crate::datasets::MLAB_INDEX);
+        let index = std::fs::read_to_string(&index_path).unwrap();
+        let load_error = || match DataSource::from_archive(&dir) {
+            Ok(_) => panic!("the archive loaded without a whole shard index"),
+            Err(e) => e.to_string(),
+        };
+
+        // Cut inside the last record: a short record, named by line.
+        let last_tab = index.trim_end().rfind('\t').unwrap();
+        std::fs::write(&index_path, &index[..last_tab]).unwrap();
+        let lines = index[..last_tab].lines().count();
+        let err = load_error();
+        assert!(err.contains(&format!("mlab/index.tsv:{lines}: ")), "{err}");
+
+        // Cut at a record boundary: every line parses, but the planned
+        // shards past the cut have no record.
+        let first_records = index.lines().take(10).collect::<Vec<_>>().join("\n") + "\n";
+        std::fs::write(&index_path, first_records).unwrap();
+        let err = load_error();
+        assert!(err.contains("mlab/index.tsv"), "{err}");
+
+        // No index at all.
+        std::fs::remove_file(&index_path).unwrap();
+        let err = load_error();
+        assert!(err.contains("mlab/index.tsv"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

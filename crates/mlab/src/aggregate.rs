@@ -314,7 +314,10 @@ mod tests {
             text.push_str(&r.to_row());
             text.push('\n');
         }
-        let batch = crate::columnar::decode(&crate::columnar::encode_rows(&rows)).unwrap();
+        let bytes = crate::columnar::encode_rows_v2(&rows);
+        let (batch, _) = crate::columnar::ColumnReader::open(&bytes)
+            .and_then(|r| r.read_counted(&crate::columnar::ColumnSelection::all()))
+            .unwrap();
 
         let mut from_text = MonthlyAggregator::new(Mode::Streaming);
         from_text.observe_reader(text.as_bytes()).unwrap();

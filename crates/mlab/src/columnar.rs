@@ -6,33 +6,21 @@
 //! shard's rows as per-column blocks instead, so a cold load is bounded
 //! by disk bandwidth and a handful of `memcpy`-shaped decodes.
 //!
-//! Two container versions exist. Version 1 (the PR 5 layout) is a single
-//! monolithic column group:
-//!
-//! ```text
-//! offset 0   magic  "NDTC"                  (4 bytes)
-//! offset 4   version                        (1 byte, = 1)
-//!            row count                      (uvarint)
-//!            7 column blocks, fixed order, each:
-//!              tag                          (1 byte)
-//!              payload length in bytes      (uvarint)
-//!              payload                      (see below)
-//! footer     row count                     (u64 little-endian)
-//!            CRC-32 of every preceding byte (u32 little-endian)
-//! ```
-//!
-//! Version 2 — what the writer emits today — splits the rows into
-//! independently decodable row groups and appends a footer index so a
-//! reader can seek straight to the blocks a query touches:
+//! The container splits the rows into independently decodable row
+//! groups and appends a footer index, so a reader can seek straight to
+//! the blocks a query touches:
 //!
 //! ```text
 //! offset 0   magic  "NDTC"                  (4 bytes)
 //! offset 4   version                        (1 byte, = 2)
 //!            N row-group blocks, back to back, each:
 //!              row count                    (uvarint)
-//!              7 column groups, fixed order, tagged and
-//!              length-prefixed exactly like v1 (dictionaries and the
-//!              date delta chain restart per block)
+//!              7 column sections, fixed order, each:
+//!                tag                        (1 byte)
+//!                payload length in bytes    (uvarint)
+//!                payload                    (see below; dictionaries
+//!                                            and the date delta chain
+//!                                            restart per block)
 //! index      block count                    (uvarint)
 //!            per block:
 //!              byte offset from file start  (uvarint)
@@ -70,12 +58,14 @@
 //!   exactly, so the order-sensitive P² estimators observe the very same
 //!   values the text path parses from shortest-roundtrip decimal.
 //!
-//! **Format evolution rule:** readers reject any version byte other than
-//! [`VERSION_V1`] or [`VERSION_V2`]. A layout change — new column,
-//! different encoding, moved footer — must add a new version; the magic
-//! never changes meaning, and old versions stay readable (v1 containers
-//! decode forever). The `container_header_is_frozen` test pins the header
-//! bytes of both writers so a magic edit without a version bump fails CI.
+//! **Format evolution rule:** one version ships at a time, and readers
+//! accept only [`VERSION_V2`]. A layout change — new column, different
+//! encoding, moved footer — must take a new version byte and retire the
+//! old one; the magic never changes meaning. A retired version (1, the
+//! index-less single-group layout) fails with a typed error that says
+//! so: every archive is synthetic and regenerates from its seed, so no
+//! retired container has to stay readable. The `container_header_is_frozen`
+//! test pins the header bytes, so a magic or version edit fails CI.
 //!
 //! Every decode error is a typed [`Error`](lacnet_types::Error) — wrong
 //! magic, unknown version, truncated block, checksum mismatch, row-range
@@ -83,29 +73,23 @@
 
 use crate::ndt::NdtTest;
 use lacnet_types::codec::{
-    crc32, f64_at, put_f64, put_ivarint, put_u32, put_u64, put_uvarint, read_f64, read_ivarint,
-    read_u32, read_u64, read_uvarint,
+    crc32, f64_at, put_f64, put_ivarint, put_u32, put_u64, put_uvarint, read_ivarint, read_u32,
+    read_u64, read_uvarint,
 };
 use lacnet_types::{Asn, CountryCode, Date, Error, Result};
-use std::io::Read;
 
 /// The container magic, `NDTC`.
 pub const MAGIC: [u8; 4] = *b"NDTC";
 
-/// The legacy single-group container version (still fully readable).
-pub const VERSION_V1: u8 = 1;
-
-/// The indexed row-group container version — what [`encode_v2`] writes.
+/// The indexed row-group container version — the one version
+/// [`encode_v2_with`] writes and [`ColumnReader::open`] accepts.
 pub const VERSION_V2: u8 = 2;
 
-/// Bytes of the fixed v1 footer: row count (u64) + CRC-32 (u32).
-const FOOTER_LEN: usize = 12;
-
-/// Bytes of the fixed v2 tail: index length (u32) + row count (u64) +
+/// Bytes of the fixed tail: index length (u32) + row count (u64) +
 /// index CRC-32 (u32).
 const V2_TAIL_LEN: usize = 16;
 
-/// Header bytes shared by both versions: magic + version byte.
+/// Header bytes: magic + version byte.
 const HEADER_LEN: usize = 5;
 
 /// Rows per v2 block when the writer isn't told otherwise. Small enough
@@ -158,8 +142,8 @@ impl std::fmt::Display for ShardFormat {
 
 /// A bitset naming which of the seven `.ndtc` columns a caller wants
 /// decoded. Endpoints declare their needs with this in
-/// `core::registry`, and [`ColumnReader::read`] skips the payload bytes
-/// of every column not in the set.
+/// `core::registry`, and [`ColumnReader::scan_counted`] skips the payload
+/// bytes of every column not in the set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ColumnSet(u8);
 
@@ -223,7 +207,7 @@ pub struct ColumnSelection {
 }
 
 impl ColumnSelection {
-    /// Decode every block and every column (the v1-equivalent read).
+    /// Decode every block and every column (a full read).
     pub fn all() -> ColumnSelection {
         ColumnSelection::columns(ColumnSet::ALL)
     }
@@ -405,33 +389,14 @@ impl ColumnBatch {
     pub fn loss(&self) -> &[f64] {
         &self.loss
     }
-
-    /// Column-wise mirror of [`NdtTest::validate`]: the decoder applies
-    /// exactly the range checks the text parser applies per row, so a
-    /// corrupt container cannot smuggle out-of-range values past the
-    /// aggregation that a corrupt text shard would have rejected.
-    fn validate(&self) -> Result<()> {
-        if self.download.iter().chain(&self.upload).any(|&v| v < 0.0) {
-            return Err(Error::invalid("negative throughput"));
-        }
-        if self.min_rtt.iter().any(|&v| v < 0.0) {
-            return Err(Error::invalid("negative RTT"));
-        }
-        if self.loss.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
-            return Err(Error::invalid("loss rate outside [0,1]"));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
-// Column payload codecs, shared by the v1 and v2 writers/readers. The
-// v1 byte stream is unchanged: these are the PR 5 encoders factored out
-// so a v2 row group is literally a v1 column section over a row slice.
+// Column payload codecs, applied per row group.
 // ---------------------------------------------------------------------
 
-/// Delta-encode days-since-epoch. The delta chain starts from 0, so v2
-/// row groups (which call this per block) restart cleanly.
+/// Delta-encode days-since-epoch. The delta chain starts from 0, so each
+/// row group (this runs per block) restarts cleanly.
 fn encode_date_payload(dates: &[Date], payload: &mut Vec<u8>) {
     let mut prev = 0i64;
     for d in dates {
@@ -442,7 +407,7 @@ fn encode_date_payload(dates: &[Date], payload: &mut Vec<u8>) {
 }
 
 /// Dictionary-encode alpha-2 codes, first-appearance order. Returns the
-/// dictionary so the v2 writer can summarize it in the footer index.
+/// dictionary so the writer can summarize it in the footer index.
 fn encode_country_payload(countries: &[CountryCode], payload: &mut Vec<u8>) -> Vec<CountryCode> {
     let mut dict: Vec<CountryCode> = Vec::new();
     let mut indices = Vec::with_capacity(countries.len());
@@ -515,14 +480,8 @@ fn decode_date_payload_into(block: &[u8], n: usize, out: &mut Vec<Date>) -> Resu
     Ok(())
 }
 
-fn decode_date_payload(block: &[u8], n: usize) -> Result<Vec<Date>> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    decode_date_payload_into(block, n, &mut out)?;
-    Ok(out)
-}
-
 /// Decode the country column into caller-owned value and dictionary
-/// vectors (both cleared first); the dictionary is exposed so v2 readers
+/// vectors (both cleared first); the dictionary is exposed so the reader
 /// can cross-check the footer index's country summary.
 fn decode_country_payload_into(
     block: &[u8],
@@ -557,13 +516,6 @@ fn decode_country_payload_into(
     Ok(())
 }
 
-fn decode_country_payload(block: &[u8], n: usize) -> Result<(Vec<CountryCode>, Vec<CountryCode>)> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut dict = Vec::new();
-    decode_country_payload_into(block, n, &mut out, &mut dict)?;
-    Ok((out, dict))
-}
-
 /// Decode the ASN column into caller-owned value and dictionary vectors
 /// (both cleared first).
 fn decode_asn_payload_into(
@@ -594,28 +546,9 @@ fn decode_asn_payload_into(
     Ok(())
 }
 
-fn decode_asn_payload(block: &[u8], n: usize) -> Result<Vec<Asn>> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut dict = Vec::new();
-    decode_asn_payload_into(block, n, &mut out, &mut dict)?;
-    Ok(out)
-}
-
-fn decode_float_payload(block: &[u8], n: usize) -> Result<Vec<f64>> {
-    if block.len() != n * 8 {
-        return Err(Error::parse("ndtc float column (wrong size)", ""));
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 0;
-    for _ in 0..n {
-        out.push(read_f64(block, &mut pos)?);
-    }
-    Ok(out)
-}
-
 /// Append the seven tagged, length-prefixed column sections for a row
-/// slice of `batch` — the shared body layout of a v1 container and of
-/// one v2 row group. Returns the country dictionary of the slice.
+/// slice of `batch` — the body of one row group. Returns the country
+/// dictionary of the slice.
 fn encode_column_sections(
     batch: &ColumnBatch,
     range: std::ops::Range<usize>,
@@ -651,8 +584,8 @@ fn encode_column_sections(
     dict
 }
 
-/// Slice the seven tagged column sections starting at `*pos`, advancing
-/// past them. Shared by the v1 body walk and the per-group v2 walk.
+/// Slice the seven tagged column sections of one row group starting at
+/// `*pos`, advancing past them.
 fn split_column_sections<'b>(buf: &'b [u8], pos: &mut usize) -> Result<[&'b [u8]; 7]> {
     let mut sections: [&[u8]; 7] = [&[]; 7];
     for (slot, &tag) in sections.iter_mut().zip(&TAGS) {
@@ -676,89 +609,13 @@ fn split_column_sections<'b>(buf: &'b [u8], pos: &mut usize) -> Result<[&'b [u8]
 }
 
 // ---------------------------------------------------------------------
-// v1 writer/reader (legacy, byte-frozen)
-// ---------------------------------------------------------------------
-
-/// Encode rows as one legacy (v1) `.ndtc` container. Kept for the
-/// compatibility matrix and `lacnet-gen --ndtc-v1`; new dumps use
-/// [`encode_rows_v2`].
-pub fn encode_rows(rows: &[NdtTest]) -> Vec<u8> {
-    encode(&ColumnBatch::from_rows(rows))
-}
-
-/// Encode a column batch as one legacy (v1) `.ndtc` container.
-pub fn encode(batch: &ColumnBatch) -> Vec<u8> {
-    let n = batch.len();
-    let mut out = Vec::with_capacity(64 + n * 36);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION_V1);
-    put_uvarint(&mut out, n as u64);
-    encode_column_sections(batch, 0..n, &mut out);
-    // Footer: row count again, then the CRC over everything before it.
-    put_u64(&mut out, n as u64);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
-}
-
-fn decode_v1(bytes: &[u8]) -> Result<ColumnBatch> {
-    // Verify the footer before trusting any block length.
-    let crc_at = bytes.len() - 4;
-    let mut pos = crc_at;
-    let stored_crc = read_u32(bytes, &mut pos)?;
-    if crc32(&bytes[..crc_at]) != stored_crc {
-        return Err(Error::parse("ndtc checksum (corrupt container)", ""));
-    }
-    let mut pos = bytes.len() - FOOTER_LEN;
-    let footer_rows = read_u64(bytes, &mut pos)?;
-
-    let body = &bytes[..bytes.len() - FOOTER_LEN];
-    let mut pos = HEADER_LEN;
-    let n = read_uvarint(body, &mut pos)?;
-    if n != footer_rows {
-        return Err(Error::parse(
-            "ndtc footer row count",
-            &footer_rows.to_string(),
-        ));
-    }
-    let n = usize::try_from(n).map_err(|_| Error::parse("ndtc row count", ""))?;
-    // A row costs at least one byte in every varint column; anything
-    // claiming more rows than bytes is corrupt, caught before allocating.
-    if n > body.len() {
-        return Err(Error::parse("ndtc row count (exceeds container size)", ""));
-    }
-
-    let sections = split_column_sections(body, &mut pos)?;
-    if pos != body.len() {
-        return Err(Error::parse("ndtc container (trailing bytes)", ""));
-    }
-
-    let batch = ColumnBatch {
-        dates: decode_date_payload(sections[0], n)?,
-        countries: decode_country_payload(sections[1], n)?.0,
-        asns: decode_asn_payload(sections[2], n)?,
-        download: decode_float_payload(sections[3], n)?,
-        upload: decode_float_payload(sections[4], n)?,
-        min_rtt: decode_float_payload(sections[5], n)?,
-        loss: decode_float_payload(sections[6], n)?,
-    };
-    batch.validate()?;
-    Ok(batch)
-}
-
-// ---------------------------------------------------------------------
-// v2 writer
+// Writer
 // ---------------------------------------------------------------------
 
 /// Encode rows as one indexed (v2) `.ndtc` container with
 /// [`DEFAULT_BLOCK_ROWS`] rows per block.
 pub fn encode_rows_v2(rows: &[NdtTest]) -> Vec<u8> {
-    encode_v2(&ColumnBatch::from_rows(rows))
-}
-
-/// Encode a column batch as one indexed (v2) `.ndtc` container.
-pub fn encode_v2(batch: &ColumnBatch) -> Vec<u8> {
-    encode_v2_with(batch, DEFAULT_BLOCK_ROWS)
+    encode_v2_with(&ColumnBatch::from_rows(rows), DEFAULT_BLOCK_ROWS)
 }
 
 /// Encode with an explicit block size (rows per row group). Tests use
@@ -846,7 +703,7 @@ pub struct ColumnSlice<'a> {
 impl<'a> ColumnSlice<'a> {
     /// Wrap a float-column payload carrying exactly `n` doubles.
     fn new(bytes: &'a [u8], n: usize) -> Result<ColumnSlice<'a>> {
-        if bytes.len() != n * 8 {
+        if n.checked_mul(8) != Some(bytes.len()) {
             return Err(Error::parse("ndtc float column (wrong size)", ""));
         }
         Ok(ColumnSlice { bytes })
@@ -976,10 +833,10 @@ impl<'a, 's> BlockView<'a, 's> {
         self.loss
     }
 
-    /// Block-wise mirror of `ColumnBatch::validate`: the same range
-    /// checks the owned path applies, evaluated over the borrowed
-    /// views, so a corrupt container cannot smuggle out-of-range values
-    /// past a zero-copy consumer either.
+    /// Block-wise mirror of [`NdtTest::validate`]: the decoder applies
+    /// exactly the range checks the text parser applies per row, so a
+    /// corrupt container cannot smuggle out-of-range values past the
+    /// aggregation that a corrupt text shard would have rejected.
     fn validate(&self) -> Result<()> {
         if self
             .download
@@ -1000,7 +857,7 @@ impl<'a, 's> BlockView<'a, 's> {
 }
 
 // ---------------------------------------------------------------------
-// v2 reader
+// Reader
 // ---------------------------------------------------------------------
 
 /// One footer-index entry: where a row-group block lives and what it
@@ -1016,12 +873,15 @@ struct BlockEntry {
     countries: Vec<CountryCode>,
 }
 
-/// A validated view over a v2 container held in a caller-owned buffer.
+/// A validated view over a container held in a caller-owned buffer —
+/// the one decode surface of this module.
 ///
 /// [`ColumnReader::open`] parses the header and the CRC-protected footer
-/// index only — no block bytes are touched. [`ColumnReader::read`] then
-/// decodes exactly the blocks and columns a [`ColumnSelection`] asks
-/// for, verifying each decoded block's own CRC on the way.
+/// index only — no block bytes are touched. [`ColumnReader::scan_counted`]
+/// then decodes exactly the blocks and columns a [`ColumnSelection`]
+/// asks for, verifying each decoded block's own CRC on the way;
+/// [`ColumnReader::read_counted`] collects the same scan into an owned
+/// [`ColumnBatch`].
 pub struct ColumnReader<'a> {
     bytes: &'a [u8],
     rows: usize,
@@ -1029,22 +889,34 @@ pub struct ColumnReader<'a> {
 }
 
 impl<'a> ColumnReader<'a> {
-    /// Validate the header and footer index of a v2 container. Typed
-    /// errors for wrong magic, non-v2 versions (v1 containers go through
-    /// [`decode`]), truncation, index corruption, and any index entry
-    /// whose geometry doesn't tile the block region exactly.
+    /// Validate the header and footer index of a container. Typed errors
+    /// for wrong magic, retired or unknown versions, truncation, index
+    /// corruption, and any index entry whose geometry doesn't tile the
+    /// block region exactly or claims more rows than its block has bytes.
     pub fn open(bytes: &'a [u8]) -> Result<ColumnReader<'a>> {
-        if bytes.len() < HEADER_LEN + V2_TAIL_LEN {
+        if bytes.len() < HEADER_LEN {
             return Err(Error::parse("ndtc container (truncated)", ""));
         }
         if bytes[..4] != MAGIC {
             return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
         }
-        if bytes[4] != VERSION_V2 {
-            return Err(Error::parse(
-                "ndtc version 2 (ColumnReader reads only indexed containers)",
-                &bytes[4].to_string(),
-            ));
+        match bytes[4] {
+            VERSION_V2 => {}
+            1 => {
+                return Err(Error::parse(
+                    "ndtc version 2 (version 1 is retired; regenerate the archive from its seed)",
+                    "1",
+                ))
+            }
+            v => {
+                return Err(Error::parse(
+                    "ndtc version 2 (readers reject unknown versions)",
+                    &v.to_string(),
+                ))
+            }
+        }
+        if bytes.len() < HEADER_LEN + V2_TAIL_LEN {
+            return Err(Error::parse("ndtc container (truncated)", ""));
         }
         let tail_at = bytes.len() - V2_TAIL_LEN;
         let mut pos = tail_at;
@@ -1086,7 +958,10 @@ impl<'a> ColumnReader<'a> {
                 ))
             })()
             .ok_or_else(|| Error::parse("ndtc v2 index entry", ""))?;
-            if rows == 0 || min_days > max_days {
+            // A row costs at least one byte in every varint column, so an
+            // entry claiming more rows than its block has bytes is lying —
+            // caught here, before any decode sizes anything by it.
+            if rows == 0 || rows > len || min_days > max_days {
                 return Err(Error::parse("ndtc v2 index entry", ""));
             }
             let cc_count = usize::try_from(cc_count)
@@ -1113,7 +988,9 @@ impl<'a> ColumnReader<'a> {
                 .checked_add(len)
                 .filter(|&e| e <= index_start)
                 .ok_or_else(|| Error::parse("ndtc v2 block length (out of bounds)", ""))?;
-            rows_sum += rows as u64;
+            rows_sum = rows_sum
+                .checked_add(rows as u64)
+                .ok_or_else(|| Error::parse("ndtc footer row count (overflow)", ""))?;
             blocks.push(BlockEntry {
                 offset,
                 len,
@@ -1154,17 +1031,13 @@ impl<'a> ColumnReader<'a> {
         self.blocks.len()
     }
 
-    /// Decode the blocks and columns `selection` asks for.
-    pub fn read(&self, selection: &ColumnSelection) -> Result<ColumnBatch> {
-        self.read_counted(selection).map(|(batch, _)| batch)
-    }
-
-    /// [`ColumnReader::read`], returning decode accounting alongside.
+    /// Collect the blocks and columns `selection` asks for into an owned
+    /// [`ColumnBatch`], with decode accounting alongside.
     ///
-    /// The owned path is a thin wrapper over the borrowed
+    /// The one owned helper, a thin wrapper over the borrowed
     /// [`ColumnReader::scan_counted`]: each block view is appended onto
-    /// a fresh [`ColumnBatch`], so the two paths cannot drift — the
-    /// copies here are the *only* difference.
+    /// a fresh [`ColumnBatch`], so the two cannot drift — the copies
+    /// here are the *only* difference.
     pub fn read_counted(&self, selection: &ColumnSelection) -> Result<(ColumnBatch, ReadStats)> {
         let mut batch = ColumnBatch::default();
         let mut scratch = DecodeScratch::new();
@@ -1296,122 +1169,10 @@ impl<'a> ColumnReader<'a> {
     }
 }
 
-/// The borrowed-read spelling of [`ColumnReader`]. The reader has
-/// always been a reference type over a caller-owned (or pre-resident)
-/// byte buffer; this alias names the zero-copy role explicitly at call
-/// sites that drive [`ColumnReader::scan_counted`] with a
-/// [`DecodeScratch`] and consume [`BlockView`]s.
-pub type ColumnReaderRef<'a> = ColumnReader<'a>;
-
-// ---------------------------------------------------------------------
-// Version-dispatching entry points
-// ---------------------------------------------------------------------
-
-/// Decode one `.ndtc` container fully, either version. Rejects wrong
-/// magic, unknown versions, truncated or oversized blocks,
-/// footer/checksum mismatches and out-of-range row values — all as
-/// typed errors.
-pub fn decode(bytes: &[u8]) -> Result<ColumnBatch> {
-    read_batch(bytes, &ColumnSelection::all())
-}
-
-/// Decode one `.ndtc` container through a [`ColumnSelection`]. Version 2
-/// containers decode selectively; version 1 containers have no index, so
-/// the selection falls back to a full decode (correct, just not lazy).
-pub fn read_batch(bytes: &[u8], selection: &ColumnSelection) -> Result<ColumnBatch> {
-    if bytes.len() < HEADER_LEN {
-        return Err(Error::parse("ndtc container (truncated)", ""));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
-    }
-    match bytes[4] {
-        VERSION_V1 => {
-            if bytes.len() < HEADER_LEN + FOOTER_LEN {
-                return Err(Error::parse("ndtc container (truncated)", ""));
-            }
-            decode_v1(bytes)
-        }
-        VERSION_V2 => ColumnReader::open(bytes)?.read(selection),
-        v => Err(Error::parse(
-            "ndtc version 1 or 2 (readers reject unknown versions)",
-            &v.to_string(),
-        )),
-    }
-}
-
-/// Cheap container census without decoding row data: `(rows, blocks)`.
-/// A v1 container reports one block; a v2 container reports its indexed
-/// block count. Used to build the archive-level shard index.
-pub fn container_stats(bytes: &[u8]) -> Result<(u64, u64)> {
-    if bytes.len() < HEADER_LEN {
-        return Err(Error::parse("ndtc container (truncated)", ""));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
-    }
-    match bytes[4] {
-        VERSION_V1 => {
-            if bytes.len() < HEADER_LEN + FOOTER_LEN {
-                return Err(Error::parse("ndtc container (truncated)", ""));
-            }
-            let mut pos = bytes.len() - FOOTER_LEN;
-            let rows = read_u64(bytes, &mut pos)?;
-            Ok((rows, 1))
-        }
-        VERSION_V2 => {
-            let reader = ColumnReader::open(bytes)?;
-            Ok((reader.rows() as u64, reader.block_count() as u64))
-        }
-        v => Err(Error::parse(
-            "ndtc version 1 or 2 (readers reject unknown versions)",
-            &v.to_string(),
-        )),
-    }
-}
-
-/// Cheap day-span census without decoding row data: `Some((min, max))`
-/// days-since-epoch over all rows, from the v2 footer index alone.
-/// `None` for an empty container and for v1 containers (which have no
-/// index to consult without a full decode). Feeds the archive-level
-/// shard index's range-pruning summaries.
-pub fn container_day_span(bytes: &[u8]) -> Result<Option<(i64, i64)>> {
-    if bytes.len() < HEADER_LEN {
-        return Err(Error::parse("ndtc container (truncated)", ""));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
-    }
-    match bytes[4] {
-        VERSION_V1 => {
-            if bytes.len() < HEADER_LEN + FOOTER_LEN {
-                return Err(Error::parse("ndtc container (truncated)", ""));
-            }
-            Ok(None)
-        }
-        VERSION_V2 => Ok(ColumnReader::open(bytes)?.day_span()),
-        v => Err(Error::parse(
-            "ndtc version 1 or 2 (readers reject unknown versions)",
-            &v.to_string(),
-        )),
-    }
-}
-
-/// Read one `.ndtc` shard from a reader. The container is checksummed,
-/// so the reader slurps the (bounded, per-country-month) file and
-/// verifies it before any value is surfaced; rows then stream lazily
-/// off the decoded columns via [`ColumnBatch::iter`].
-pub fn read_shard<R: Read>(mut reader: R) -> Result<ColumnBatch> {
-    let mut bytes = Vec::new();
-    reader
-        .read_to_end(&mut bytes)
-        .map_err(|e| Error::parse("ndtc shard read", &e.to_string()))?;
-    decode(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lacnet_types::codec::read_f64;
     use lacnet_types::country;
 
     fn rows() -> Vec<NdtTest> {
@@ -1446,17 +1207,15 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn roundtrip_preserves_rows_exactly() {
-        let rows = rows();
-        let decoded = decode(&encode_rows(&rows)).unwrap();
-        assert_eq!(decoded.len(), rows.len());
-        let back: Vec<NdtTest> = decoded.iter().collect();
-        assert_eq!(back, rows);
+    /// A full decode through the one read surface: open, then collect
+    /// every block and column.
+    fn decode(bytes: &[u8]) -> Result<ColumnBatch> {
+        let (batch, _) = ColumnReader::open(bytes)?.read_counted(&ColumnSelection::all())?;
+        Ok(batch)
     }
 
     #[test]
-    fn v2_roundtrip_preserves_rows_exactly() {
+    fn roundtrip_preserves_rows_exactly() {
         let rows = rows();
         for block_rows in [1, 2, 3, 4096] {
             let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), block_rows);
@@ -1467,25 +1226,14 @@ mod tests {
                 "block_rows {block_rows}"
             );
         }
-    }
-
-    #[test]
-    fn v1_and_v2_decode_to_the_same_batch() {
-        let rows = rows();
-        let v1 = decode(&encode_rows(&rows)).unwrap();
-        let v2 = decode(&encode_rows_v2(&rows)).unwrap();
-        assert_eq!(v1, v2);
+        assert_eq!(decode(&encode_rows_v2(&rows)).unwrap().len(), rows.len());
     }
 
     #[test]
     fn empty_and_single_row_shards_roundtrip() {
-        let empty = decode(&encode_rows(&[])).unwrap();
-        assert!(empty.is_empty());
         let empty = decode(&encode_rows_v2(&[])).unwrap();
         assert!(empty.is_empty());
         let one = &rows()[..1];
-        let decoded = decode(&encode_rows(one)).unwrap();
-        assert_eq!(decoded.iter().collect::<Vec<_>>(), one);
         let decoded = decode(&encode_rows_v2(one)).unwrap();
         assert_eq!(decoded.iter().collect::<Vec<_>>(), one);
     }
@@ -1496,74 +1244,78 @@ mod tests {
         // are the magic followed by the version constant. Changing a
         // magic or version byte without a deliberate fixture update here
         // fails CI.
-        let v1 = encode_rows(&[]);
-        assert_eq!(&v1[..4], b"NDTC");
-        assert_eq!(v1[4], 1);
         let v2 = encode_rows_v2(&[]);
         assert_eq!(&v2[..4], b"NDTC");
         assert_eq!(v2[4], 2);
-        assert_eq!(VERSION_V1, 1, "bump this pin together with the constant");
         assert_eq!(VERSION_V2, 2, "bump this pin together with the constant");
-    }
-
-    #[test]
-    fn wrong_magic_is_a_typed_error() {
-        for bytes in [encode_rows(&rows()), encode_rows_v2(&rows())] {
-            let mut bytes = bytes;
-            bytes[0] = b'X';
-            match decode(&bytes) {
-                Err(Error::Parse { expected, .. }) => assert!(expected.contains("magic")),
-                other => panic!("expected a magic error, got {other:?}"),
+        // Version 1 is retired: its header fails typed, and the error
+        // says why — whether or not the rest of the container parses.
+        let mut retired = encode_rows_v2(&rows());
+        retired[4] = 1;
+        for bytes in [&retired[..], b"NDTC\x01"] {
+            match ColumnReader::open(bytes) {
+                Err(Error::Parse { expected, .. }) => {
+                    assert!(expected.contains("retired"), "{expected}")
+                }
+                other => panic!("expected a retired-version error, got {:?}", other.err()),
             }
         }
     }
 
     #[test]
-    fn unknown_version_is_rejected() {
-        let mut bytes = encode_rows(&rows());
-        bytes[4] = VERSION_V2 + 1;
+    fn wrong_magic_is_a_typed_error() {
+        let mut bytes = encode_rows_v2(&rows());
+        bytes[0] = b'X';
         match decode(&bytes) {
-            Err(Error::Parse { expected, .. }) => assert!(expected.contains("version")),
-            other => panic!("expected a version error, got {other:?}"),
+            Err(Error::Parse { expected, .. }) => assert!(expected.contains("magic")),
+            other => panic!("expected a magic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_version_is_rejected() {
+        for version in [0, VERSION_V2 + 1, 0xff] {
+            let mut bytes = encode_rows_v2(&rows());
+            bytes[4] = version;
+            match decode(&bytes) {
+                Err(Error::Parse { expected, .. }) => {
+                    assert!(expected.contains("unknown versions"), "{expected}")
+                }
+                other => panic!("expected a version error, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn corrupted_footer_is_a_typed_error() {
-        let mut bytes = encode_rows(&rows());
+        // Everything open() trusts for seeking — the index, its length
+        // and the total row count — sits under the tail CRC.
+        let bytes = encode_rows_v2(&rows());
         let len = bytes.len();
-        bytes[len - 1] ^= 0xFF; // flip CRC bits
-        assert!(matches!(decode(&bytes), Err(Error::Parse { .. })));
-        let mut bytes = encode_rows(&rows());
-        let len = bytes.len();
-        bytes[len - 8] ^= 0x01; // corrupt the footer row count (CRC catches it)
-        assert!(decode(&bytes).is_err());
+        for (at, mask) in [
+            (len - 1, 0xFF),               // the tail CRC itself
+            (len - 6, 0x01),               // the total row count
+            (len - 16, 0x01),              // the index length
+            (len - V2_TAIL_LEN - 1, 0x01), // the last index byte
+        ] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= mask;
+            assert!(
+                matches!(ColumnReader::open(&corrupt), Err(Error::Parse { .. })),
+                "corruption at {at} must fail open"
+            );
+        }
     }
 
     #[test]
-    fn v2_corrupted_index_fails_open() {
-        let mut bytes = encode_rows_v2(&rows());
-        let len = bytes.len();
-        bytes[len - 1] ^= 0xFF; // flip tail CRC bits
-        assert!(matches!(
-            ColumnReader::open(&bytes),
-            Err(Error::Parse { .. })
-        ));
-        let mut bytes = encode_rows_v2(&rows());
-        let len = bytes.len();
-        bytes[len - 6] ^= 0x01; // corrupt the tail row count (CRC catches it)
-        assert!(ColumnReader::open(&bytes).is_err());
-    }
-
-    #[test]
-    fn v2_corrupted_block_passes_open_but_fails_decode() {
+    fn corrupted_body_is_caught_by_the_checksum() {
         // Block corruption is invisible to open() by design — only the
         // index is validated up front — and caught by the per-block CRC
         // the moment the block is decoded.
         let mut bytes = encode_rows_v2(&rows());
         bytes[8] ^= 0x40; // inside the first (only) block's payload
         let reader = ColumnReader::open(&bytes).expect("index is intact");
-        match reader.read(&ColumnSelection::all()) {
+        match reader.read_counted(&ColumnSelection::all()) {
             Err(Error::Parse { expected, .. }) => assert!(expected.contains("checksum")),
             other => panic!("expected a block checksum error, got {other:?}"),
         }
@@ -1571,37 +1323,89 @@ mod tests {
 
     #[test]
     fn truncated_container_is_a_typed_error() {
-        for bytes in [encode_rows(&rows()), encode_rows_v2(&rows())] {
-            for cut in [0, 3, 5, 8, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    matches!(decode(&bytes[..cut]), Err(Error::Parse { .. })),
-                    "truncation at {cut} must fail typed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_body_is_caught_by_the_checksum() {
-        let mut bytes = encode_rows(&rows());
-        bytes[10] ^= 0x40;
-        match decode(&bytes) {
-            Err(Error::Parse { expected, .. }) => assert!(expected.contains("checksum")),
-            other => panic!("expected a checksum error, got {other:?}"),
+        let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows()), 2);
+        for cut in [0, 3, 5, 8, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                matches!(decode(&bytes[..cut]), Err(Error::Parse { .. })),
+                "truncation at {cut} must fail typed"
+            );
         }
     }
 
     #[test]
     fn out_of_range_values_are_rejected_like_the_text_path() {
-        let mut bad = rows();
-        bad[0].loss_rate = 1.5;
-        let mut bytes = encode_rows(&bad);
-        // Re-seal the container so only the range check can object.
-        let len = bytes.len();
-        bytes.truncate(len - 4);
-        let crc = crc32(&bytes);
-        put_u32(&mut bytes, crc);
-        assert!(matches!(decode(&bytes), Err(Error::Invalid { .. })));
+        // The writer does not validate, so each container below is
+        // sealed with valid CRCs: only the range check can object.
+        let corrupt: [fn(&mut NdtTest); 4] = [
+            |r| r.loss_rate = 1.5,
+            |r| r.download_mbps = -1.0,
+            |r| r.upload_mbps = -0.5,
+            |r| r.min_rtt_ms = -3.0,
+        ];
+        for set in corrupt {
+            let mut bad = rows();
+            set(&mut bad[0]);
+            let bytes = encode_rows_v2(&bad);
+            assert!(matches!(decode(&bytes), Err(Error::Invalid { .. })));
+        }
+    }
+
+    /// Seal `blocks` (raw row-group bytes) and one index entry per block
+    /// into a container whose index and tail CRCs are valid — so only
+    /// the geometry checks can object to what the entries claim.
+    fn seal(blocks: &[Vec<u8>], rows_per_entry: u64, total_rows: u64) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(VERSION_V2);
+        let mut offsets = Vec::new();
+        for block in blocks {
+            offsets.push(out.len());
+            out.extend_from_slice(block);
+        }
+        let index_start = out.len();
+        put_uvarint(&mut out, blocks.len() as u64);
+        for (block, offset) in blocks.iter().zip(offsets) {
+            put_uvarint(&mut out, offset as u64);
+            put_uvarint(&mut out, block.len() as u64);
+            put_uvarint(&mut out, rows_per_entry);
+            put_ivarint(&mut out, 0);
+            put_ivarint(&mut out, 0);
+            put_u32(&mut out, crc32(block));
+            put_uvarint(&mut out, 1);
+            out.extend_from_slice(b"VE");
+        }
+        let index_len = out.len() - index_start;
+        put_u32(&mut out, index_len as u32);
+        put_u64(&mut out, total_rows);
+        let crc = crc32(&out[index_start..]);
+        put_u32(&mut out, crc);
+        out
+    }
+
+    #[test]
+    fn an_index_claiming_more_rows_than_block_bytes_fails_typed() {
+        // The block says 2^61 rows and carries seven empty column
+        // sections; the index entry and the tail agree with it. A float
+        // column sized by that count overflows `n * 8`, so the lie must
+        // be caught in open(), before any scan — in debug and release.
+        let claimed = 1u64 << 61;
+        let mut block = Vec::new();
+        put_uvarint(&mut block, claimed);
+        for tag in TAGS {
+            block.push(tag);
+            put_uvarint(&mut block, 0);
+        }
+        let bytes = seal(&[block], claimed, claimed);
+        let scanned = ColumnReader::open(&bytes).and_then(|reader| {
+            reader.scan_counted(
+                &ColumnSelection::columns(ColumnSet::DOWNLOAD),
+                &mut DecodeScratch::new(),
+                |_| Ok(()),
+            )
+        });
+        assert!(
+            matches!(scanned, Err(Error::Parse { .. })),
+            "got {scanned:?}"
+        );
     }
 
     #[test]
@@ -1662,28 +1466,23 @@ mod tests {
     }
 
     #[test]
-    fn container_stats_census() {
-        let rows = rows();
-        assert_eq!(container_stats(&encode_rows(&rows)).unwrap(), (3, 1));
-        let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), 2);
-        assert_eq!(container_stats(&bytes).unwrap(), (3, 2));
-        assert!(container_stats(b"NDTX").is_err());
-    }
-
-    #[test]
-    fn container_day_span_census() {
+    fn open_answers_the_census_from_the_index() {
         // rows() spans Jul 2 .. Jul 30 2019 regardless of block split.
         let rows = rows();
         let lo = Date::ymd(2019, 7, 2).days_since_epoch();
         let hi = Date::ymd(2019, 7, 30).days_since_epoch();
-        for block_rows in [1, 2, 4096] {
+        for (block_rows, blocks) in [(1, 3), (2, 2), (4096, 1)] {
             let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), block_rows);
-            assert_eq!(container_day_span(&bytes).unwrap(), Some((lo, hi)));
+            let reader = ColumnReader::open(&bytes).unwrap();
+            assert_eq!(reader.rows(), 3);
+            assert_eq!(reader.block_count(), blocks);
+            assert_eq!(reader.day_span(), Some((lo, hi)));
         }
-        assert_eq!(container_day_span(&encode_rows_v2(&[])).unwrap(), None);
-        // v1 has no footer index — the census answers "unknown".
-        assert_eq!(container_day_span(&encode_rows(&rows)).unwrap(), None);
-        assert!(container_day_span(b"NDTX").is_err());
+        let empty = encode_rows_v2(&[]);
+        let reader = ColumnReader::open(&empty).unwrap();
+        assert_eq!((reader.rows(), reader.block_count()), (0, 0));
+        assert_eq!(reader.day_span(), None);
+        assert!(ColumnReader::open(b"NDTX").is_err());
     }
 
     #[test]
@@ -1708,10 +1507,20 @@ mod tests {
         assert!(ColumnSlice::new(&payload[..payload.len() - 1], vals.len()).is_err());
     }
 
-    /// The pre-zero-copy owned decode, kept verbatim as a reference
-    /// implementation: fresh `Vec`s per block via the allocating payload
-    /// decoders. The proptest below pins the borrowed scan (and the
-    /// thin owned wrapper over it) bit-identical to this.
+    /// An owned float-column decode, independent of [`ColumnSlice`].
+    fn decode_float_payload(block: &[u8], n: usize) -> Result<Vec<f64>> {
+        if block.len() != n * 8 {
+            return Err(Error::parse("ndtc float column (wrong size)", ""));
+        }
+        let mut pos = 0;
+        (0..n).map(|_| read_f64(block, &mut pos)).collect()
+    }
+
+    /// The pre-zero-copy owned decode, kept as a reference
+    /// implementation: fresh `Vec`s per block, floats decoded by value,
+    /// range checks run once over the whole batch. The proptest below
+    /// pins the borrowed scan (and the thin owned wrapper over it)
+    /// bit-identical to this.
     fn reference_read_counted(
         reader: &ColumnReader<'_>,
         selection: &ColumnSelection,
@@ -1744,17 +1553,21 @@ mod tests {
             };
             if want.contains(ColumnSet::DATES) {
                 touched(sections[0]);
-                batch.dates.extend(decode_date_payload(sections[0], n)?);
+                let mut dates = Vec::new();
+                decode_date_payload_into(sections[0], n, &mut dates)?;
+                batch.dates.extend(dates);
             }
             if want.contains(ColumnSet::COUNTRIES) {
                 touched(sections[1]);
-                batch
-                    .countries
-                    .extend(decode_country_payload(sections[1], n)?.0);
+                let (mut countries, mut dict) = (Vec::new(), Vec::new());
+                decode_country_payload_into(sections[1], n, &mut countries, &mut dict)?;
+                batch.countries.extend(countries);
             }
             if want.contains(ColumnSet::ASNS) {
                 touched(sections[2]);
-                batch.asns.extend(decode_asn_payload(sections[2], n)?);
+                let (mut asns, mut dict) = (Vec::new(), Vec::new());
+                decode_asn_payload_into(sections[2], n, &mut asns, &mut dict)?;
+                batch.asns.extend(asns);
             }
             for (set, section, col) in [
                 (ColumnSet::DOWNLOAD, sections[3], &mut batch.download),
@@ -1768,7 +1581,15 @@ mod tests {
                 }
             }
         }
-        batch.validate()?;
+        if batch.download.iter().chain(&batch.upload).any(|&v| v < 0.0) {
+            return Err(Error::invalid("negative throughput"));
+        }
+        if batch.min_rtt.iter().any(|&v| v < 0.0) {
+            return Err(Error::invalid("negative RTT"));
+        }
+        if batch.loss.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
+            return Err(Error::invalid("loss rate outside [0,1]"));
+        }
         Ok((batch, stats))
     }
 
@@ -1845,9 +1666,9 @@ mod tests {
         proptest! {
             /// text shard → columnar encode → decode → text is
             /// byte-identical for arbitrary generated shards, including
-            /// empty and single-row ones (`size 0..` covers both) —
-            /// through both container versions, and v2 at a block size
-            /// small enough to split every multi-row shard.
+            /// empty and single-row ones (`size 0..` covers both) — at
+            /// the default block size and at one small enough to split
+            /// every multi-row shard.
             #[test]
             fn text_columnar_text_is_byte_identical(
                 specs in proptest::collection::vec(
@@ -1861,11 +1682,8 @@ mod tests {
                     .map(|(day, cc, asn, f)| arb_row(day, cc, asn, f))
                     .collect();
                 let text: String = rows.iter().map(|r| r.to_row() + "\n").collect();
-                let decoded = decode(&encode_rows(&rows)).unwrap();
-                let back: String = decoded.iter().map(|r| r.to_row() + "\n").collect();
-                prop_assert_eq!(&back, &text);
                 let batch = ColumnBatch::from_rows(&rows);
-                for block_rows in [3usize, 4096] {
+                for block_rows in [3usize, DEFAULT_BLOCK_ROWS] {
                     let decoded = decode(&encode_v2_with(&batch, block_rows)).unwrap();
                     let back: String = decoded.iter().map(|r| r.to_row() + "\n").collect();
                     prop_assert_eq!(&back, &text);
@@ -1946,14 +1764,15 @@ mod tests {
 
             /// Arbitrary byte mutations never panic the decoder — they
             /// either still decode (only when the CRC happens to match)
-            /// or fail with a typed error. Both versions.
+            /// or fail with a typed error. One- and multi-block layouts.
             #[test]
             fn mutated_containers_fail_typed(
                 idx in 0usize..200,
                 mask in 1u8..=255,
             ) {
-                for bytes in [encode_rows(&rows()), encode_rows_v2(&rows())] {
-                    let mut mutated = bytes;
+                let batch = ColumnBatch::from_rows(&rows());
+                for block_rows in [1, DEFAULT_BLOCK_ROWS] {
+                    let mut mutated = encode_v2_with(&batch, block_rows);
                     let i = idx % mutated.len();
                     mutated[i] ^= mask;
                     let _ = decode(&mutated); // must not panic

@@ -23,8 +23,8 @@ pub mod synth;
 
 pub use aggregate::{GroupStats, MonthlyAggregator};
 pub use columnar::{
-    BlockView, ColumnBatch, ColumnReader, ColumnReaderRef, ColumnSelection, ColumnSet, ColumnSlice,
-    DecodeScratch, ReadStats, ShardFormat,
+    BlockView, ColumnBatch, ColumnReader, ColumnSelection, ColumnSet, ColumnSlice, DecodeScratch,
+    ReadStats, ShardFormat,
 };
 pub use multi::{Group, Metric, MultiAggregator};
 pub use ndt::NdtTest;

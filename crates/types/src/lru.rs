@@ -3,9 +3,8 @@
 //! Built for the `lacnet-serve` response cache: endpoint responses are
 //! keyed on `(endpoint, query, archive fingerprint)` so that a re-dump —
 //! which rewrites `mlab/manifest.tsv` and therefore changes the
-//! fingerprint — invalidates every stale entry naturally, and
-//! [`LruCache::evict_where`] lets the owner sweep dead generations out
-//! eagerly.
+//! fingerprint — invalidates every stale entry naturally: the new
+//! generation misses, and the dead one ages out by recency.
 //!
 //! Concurrency contract: [`LruCache::get_or_compute`] is *single-flight*.
 //! When N threads ask for the same absent key at once, exactly one runs
@@ -112,42 +111,6 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
         self.len() == 0
     }
 
-    /// The value for `key`, bumping its recency. Pending reservations are
-    /// invisible to `get` — it never blocks.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let mut inner = self.shared.lock().expect("lru lock");
-        let tick = inner.bump();
-        match inner.entries.get_mut(key) {
-            Some(entry) => match &entry.slot {
-                Slot::Ready(v) => {
-                    let v = v.clone();
-                    entry.used = tick;
-                    Some(v)
-                }
-                Slot::Pending => None,
-            },
-            None => None,
-        }
-    }
-
-    /// Insert (or overwrite) a ready value, evicting the least-recently
-    /// used entries if the cache overflows.
-    pub fn insert(&self, key: K, value: V) {
-        let mut inner = self.shared.lock().expect("lru lock");
-        let tick = inner.bump();
-        inner.entries.insert(
-            key,
-            Entry {
-                slot: Slot::Ready(value),
-                used: tick,
-            },
-        );
-        inner.evict_to(self.capacity);
-        // An overwrite may have replaced a pending reservation some other
-        // thread is waiting on; wake them so they observe the value.
-        self.ready.notify_all();
-    }
-
     /// The value for `key`, computing it with `compute` on a miss.
     ///
     /// Returns `(value, served_from_cache)`: `true` both for plain hits
@@ -223,22 +186,6 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
         Ok((value, false))
     }
 
-    /// Remove every ready entry whose key matches `pred` (pending
-    /// reservations complete normally). This is the fingerprint
-    /// invalidation hook: after an archive refresh, evict everything
-    /// keyed on the superseded fingerprint.
-    pub fn evict_where(&self, pred: impl Fn(&K) -> bool) {
-        let mut inner = self.shared.lock().expect("lru lock");
-        inner
-            .entries
-            .retain(|k, e| matches!(e.slot, Slot::Pending) || !pred(k));
-    }
-
-    /// Drop every ready entry.
-    pub fn clear(&self) {
-        self.evict_where(|_| true);
-    }
-
     /// Ready keys ordered least- to most-recently used — the eviction
     /// order, exposed for tests and diagnostics.
     pub fn keys_by_recency(&self) -> Vec<K> {
@@ -289,35 +236,42 @@ mod tests {
     fn capacity_bound_holds() {
         let cache = LruCache::new(3);
         for i in 0..10 {
-            cache.insert(i, i * 10);
+            assert_eq!(cache.get_or_compute(i, || i * 10), (i * 10, false));
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.keys_by_recency(), vec![7, 8, 9]);
-        assert_eq!(cache.get(&9), Some(90));
-        assert_eq!(cache.get(&0), None, "oldest entries were evicted");
+        assert_eq!(cache.get_or_compute(9, || unreachable!()), (90, true));
+        assert_eq!(
+            cache.get_or_compute(0, || 0),
+            (0, false),
+            "oldest entries were evicted"
+        );
     }
 
     #[test]
-    fn get_refreshes_recency() {
+    fn hits_refresh_recency() {
         let cache = LruCache::new(2);
-        cache.insert("a", 1);
-        cache.insert("b", 2);
+        cache.get_or_compute("a", || 1);
+        cache.get_or_compute("b", || 2);
         // Touch "a" so "b" becomes the LRU victim.
-        assert_eq!(cache.get(&"a"), Some(1));
-        cache.insert("c", 3);
-        assert_eq!(cache.get(&"b"), None, "b was least recently used");
-        assert_eq!(cache.get(&"a"), Some(1));
-        assert_eq!(cache.get(&"c"), Some(3));
+        assert_eq!(cache.get_or_compute("a", || unreachable!()), (1, true));
+        cache.get_or_compute("c", || 3);
+        assert_eq!(
+            cache.keys_by_recency(),
+            vec!["a", "c"],
+            "b was least recently used"
+        );
+        assert_eq!(cache.get_or_compute("b", || 2), (2, false));
     }
 
     #[test]
     fn eviction_order_is_lru_to_mru() {
         let cache = LruCache::new(4);
         for k in ["w", "x", "y", "z"] {
-            cache.insert(k, ());
+            cache.get_or_compute(k, || ());
         }
-        cache.get(&"w");
-        cache.get(&"y");
+        cache.get_or_compute("w", || ());
+        cache.get_or_compute("y", || ());
         assert_eq!(cache.keys_by_recency(), vec!["x", "z", "w", "y"]);
     }
 
@@ -336,26 +290,18 @@ mod tests {
 
     #[test]
     fn fingerprint_change_invalidates() {
-        // The serve cache keys on (endpoint, fingerprint); a re-dump
-        // changes the fingerprint and the old generation gets swept.
-        let cache = LruCache::new(8);
-        cache.insert(("fig11", "fp-old"), 1);
-        cache.insert(("tab01", "fp-old"), 2);
-        cache.insert(("fig11", "fp-new"), 3);
-        cache.evict_where(|&(_, fp)| fp != "fp-new");
-        assert_eq!(cache.get(&("fig11", "fp-old")), None);
-        assert_eq!(cache.get(&("tab01", "fp-old")), None);
-        assert_eq!(cache.get(&("fig11", "fp-new")), Some(3));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_the_cache() {
-        let cache = LruCache::new(4);
-        cache.insert(1, 1);
-        cache.insert(2, 2);
-        cache.clear();
-        assert!(cache.is_empty());
+        // The serve cache keys on (endpoint, fingerprint); after a
+        // re-dump the new generation misses and recomputes, and the old
+        // one ages out as new entries arrive.
+        let cache = LruCache::new(2);
+        cache.get_or_compute(("fig11", "fp-old"), || 1);
+        cache.get_or_compute(("tab01", "fp-old"), || 2);
+        assert_eq!(cache.get_or_compute(("fig11", "fp-new"), || 3), (3, false));
+        assert_eq!(cache.get_or_compute(("tab01", "fp-new"), || 4), (4, false));
+        assert_eq!(
+            cache.keys_by_recency(),
+            vec![("fig11", "fp-new"), ("tab01", "fp-new")]
+        );
     }
 
     #[test]
@@ -439,29 +385,23 @@ mod tests {
         #[test]
         fn matches_a_reference_model(ops in proptest::collection::vec((0u8..3, 0u64..12), 1..120),
                                      capacity in 1usize..6) {
-            // Replay inserts/gets against a naive model that tracks the
-            // same recency rule; the cache must agree on membership and
-            // eviction order at every step.
+            // Replay lookups against a naive model that tracks the same
+            // recency rule; the cache must agree on membership and
+            // eviction order at every step. A failing compute is a probe:
+            // a hit bumps recency, a miss leaves the cache untouched.
             let cache = LruCache::new(capacity);
             let mut model: Vec<(u64, u64)> = Vec::new(); // (key, value) LRU→MRU
             for (op, key) in ops {
                 match op {
                     0 => {
-                        model.retain(|&(k, _)| k != key);
-                        model.push((key, key * 3));
-                        if model.len() > capacity {
-                            model.remove(0);
-                        }
-                        cache.insert(key, key * 3);
-                    }
-                    1 => {
                         let expected = model.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
                         if expected.is_some() {
                             let entry = model.iter().position(|&(k, _)| k == key).unwrap();
                             let moved = model.remove(entry);
                             model.push(moved);
                         }
-                        prop_assert_eq!(cache.get(&key), expected);
+                        let probed = cache.try_get_or_compute(key, || Err("absent"));
+                        prop_assert_eq!(probed, expected.map(|v| (v, true)).ok_or("absent"));
                     }
                     _ => {
                         let in_model = model.iter().any(|&(k, _)| k == key);

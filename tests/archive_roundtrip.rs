@@ -14,7 +14,9 @@
 use lacnet::core::render::canonical_tsv;
 use lacnet::core::{datasets, experiments, extensions, DataSource, DumpOptions};
 use lacnet::crisis::{World, WorldConfig};
-use lacnet::mlab::ShardFormat;
+use lacnet::mlab::{
+    ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
+};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -42,53 +44,6 @@ fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
         };
         datasets::dump_with(world(), &dir, options).expect("dump succeeds");
         DataSource::from_archive_with(&dir, Some(format)).expect("archive loads")
-    })
-}
-
-/// A columnar tree written in the frozen v1 single-block container
-/// (what `lacnet-gen --ndtc-v1` produces) — the legacy layout the
-/// version-dispatch read path must keep serving.
-fn v1_archive_source() -> &'static DataSource<'static> {
-    static V1: OnceLock<DataSource<'static>> = OnceLock::new();
-    V1.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("lacnet-roundtrip-v1-{}", std::process::id()));
-        let options = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            columnar_v1: true,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(world(), &dir, options).expect("v1 dump succeeds");
-        DataSource::from_archive_with(&dir, Some(ShardFormat::Columnar)).expect("v1 archive loads")
-    })
-}
-
-/// A mid-migration tree: a v2 dump with every Venezuelan shard resealed
-/// in the v1 container. Loading it exercises both decoders inside one
-/// archive walk — exactly what an interrupted re-dump leaves behind.
-fn mixed_archive_source() -> &'static DataSource<'static> {
-    static MIXED: OnceLock<DataSource<'static>> = OnceLock::new();
-    MIXED.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("lacnet-roundtrip-mixed-{}", std::process::id()));
-        let options = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(world(), &dir, options).expect("mixed dump succeeds");
-        let mut resealed = 0usize;
-        for entry in std::fs::read_dir(dir.join("mlab/VE")).expect("VE shard dir") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("ndtc") {
-                continue;
-            }
-            let bytes = std::fs::read(&path).expect("shard bytes");
-            let batch = lacnet::mlab::columnar::decode(&bytes).expect("shard decodes");
-            std::fs::write(&path, lacnet::mlab::columnar::encode(&batch)).expect("v1 reseal");
-            resealed += 1;
-        }
-        assert!(resealed > 0, "mixed tree resealed no shards");
-        DataSource::from_archive_with(&dir, Some(ShardFormat::Columnar))
-            .expect("mixed archive loads")
     })
 }
 
@@ -191,32 +146,6 @@ fn columnar_archive_battery_matches_golden_fixtures() {
 }
 
 #[test]
-fn v1_and_mixed_columnar_trees_serve_the_identical_battery() {
-    // The container-version matrix: pure-v1 and mixed v1/v2 trees must
-    // land the whole battery on the same bytes as the text tree — the
-    // format-evolution contract (readers dispatch on the frozen header
-    // byte; writers never change what decoders observe).
-    let text = archive_results_for(ShardFormat::Text);
-    for (label, src) in [
-        ("v1", v1_archive_source()),
-        ("mixed", mixed_archive_source()),
-    ] {
-        let mut results = experiments::all(src);
-        results.extend(extensions::all(src));
-        assert_eq!(text.len(), results.len());
-        for (t, r) in text.iter().zip(&results) {
-            assert_eq!(t.id, r.id, "battery order differs on the {label} tree");
-            assert_eq!(
-                canonical_tsv(t),
-                canonical_tsv(r),
-                "{} diverges between the text tree and the {label} columnar tree",
-                t.id
-            );
-        }
-    }
-}
-
-#[test]
 fn single_month_query_decodes_only_the_matching_shard_bytes() {
     use lacnet::types::country;
     let src = archive_source_for(ShardFormat::Columnar);
@@ -267,24 +196,18 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
         "query decoded {} of the {tree_total}-byte tree",
         stats.read.bytes_decoded
     );
-    // Every storage format answers the same numbers: the v1 container
-    // and the text rows take their full-decode paths and still land on
-    // the identical count and bit-identical P² median.
-    for (label, other) in [
-        ("columnar-v1", v1_archive_source()),
-        ("text", archive_source_for(ShardFormat::Text)),
-    ] {
-        let answer = other
-            .ndt_month_stats(country::VE, month)
-            .expect("query succeeds")
-            .expect("shard exists");
-        assert_eq!(answer.format, label);
-        assert_eq!(answer.rows, stats.rows, "{label} row count diverges");
-        assert_eq!(
-            answer.median_download, stats.median_download,
-            "{label} median diverges"
-        );
-    }
+    // The text rows take their full-parse path and still land on the
+    // identical count and bit-identical P² median.
+    let answer = archive_source_for(ShardFormat::Text)
+        .ndt_month_stats(country::VE, month)
+        .expect("query succeeds")
+        .expect("shard exists");
+    assert_eq!(answer.format, "text");
+    assert_eq!(answer.rows, stats.rows, "text row count diverges");
+    assert_eq!(
+        answer.median_download, stats.median_download,
+        "text median diverges"
+    );
 }
 
 #[test]
@@ -302,23 +225,41 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
     assert_eq!(range.months_queried, 4);
     assert_eq!(range.months.len(), 4);
 
-    // The merged answer is exactly the fold of the single-month queries:
-    // per-month stats, the row total, and the absorbed ReadStats — the
-    // parallel fan-out with plan-order merge is observationally identical
-    // to a sequential month walk.
+    // The merged answer is exactly the fold of per-month references
+    // taken without `ndt_range_stats` — a single month is a one-month
+    // range, so comparing against `ndt_month_stats` would compare the
+    // function with itself. Rows and the P² median come from the
+    // in-memory world's resident groups; ReadStats from a direct
+    // selective scan of each month's shard file. Agreement pins the
+    // parallel fan-out with plan-order merge to a sequential month walk.
+    let DataSource::Archive(archive) = src else {
+        panic!("columnar source is archive-backed");
+    };
     let mut rows = 0usize;
-    let mut read = lacnet::mlab::ReadStats::default();
+    let mut read = ReadStats::default();
     let mut median_sum = 0.0f64;
     let mut medians = 0usize;
     for &(month, ref merged) in &range.months {
-        let single = src
-            .ndt_month_stats(country::VE, month)
-            .expect("query succeeds")
-            .expect("shard exists");
-        assert_eq!(merged, &single, "{month} diverges inside the range");
-        rows += single.rows;
-        read.absorb(single.read);
-        if let Some(m) = single.median_download {
+        let group = world()
+            .mlab
+            .group(country::VE, month)
+            .expect("in-memory group for listed month");
+        assert_eq!(merged.rows, group.count(), "{month} rows diverge");
+        assert_eq!(
+            merged.median_download,
+            group.median(),
+            "{month} median diverges"
+        );
+        let bytes = std::fs::read(archive.root().join(format!("mlab/VE/ndt-{month}.ndtc")))
+            .expect("month shard");
+        let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(country::VE);
+        let scanned = ColumnReader::open(&bytes)
+            .and_then(|r| r.scan_counted(&selection, &mut DecodeScratch::new(), |_| Ok(())))
+            .expect("shard scans");
+        assert_eq!(merged.read, scanned, "{month} ReadStats diverge");
+        rows += group.count();
+        read.absorb(scanned);
+        if let Some(m) = group.median() {
             median_sum += m;
             medians += 1;
         }
@@ -335,21 +276,19 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
     assert!(range.read.blocks_decoded >= 4);
     assert_eq!(range.read.columns_decoded, range.read.blocks_decoded);
 
-    // Every storage format answers the same numbers through the same
-    // range entry point — full-decode paths included.
-    for other in [v1_archive_source(), archive_source_for(ShardFormat::Text)] {
-        let answer = other
-            .ndt_range_stats(country::VE, from, to)
-            .expect("range query succeeds");
-        assert_eq!(answer.rows, range.rows);
-        assert_eq!(answer.months.len(), range.months.len());
-        for ((m_a, a), (m_b, b)) in answer.months.iter().zip(&range.months) {
-            assert_eq!(m_a, m_b);
-            assert_eq!(a.rows, b.rows, "{m_a}");
-            assert_eq!(a.median_download, b.median_download, "{m_a}");
-        }
-        assert_eq!(answer.mean_monthly_median, range.mean_monthly_median);
+    // The text tree answers the same numbers through the same range
+    // entry point, on its full-parse path.
+    let answer = archive_source_for(ShardFormat::Text)
+        .ndt_range_stats(country::VE, from, to)
+        .expect("range query succeeds");
+    assert_eq!(answer.rows, range.rows);
+    assert_eq!(answer.months.len(), range.months.len());
+    for ((m_a, a), (m_b, b)) in answer.months.iter().zip(&range.months) {
+        assert_eq!(m_a, m_b);
+        assert_eq!(a.rows, b.rows, "{m_a}");
+        assert_eq!(a.median_download, b.median_download, "{m_a}");
     }
+    assert_eq!(answer.mean_monthly_median, range.mean_monthly_median);
 }
 
 #[test]
